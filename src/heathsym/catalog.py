@@ -18,6 +18,7 @@ and corrected readings are retained.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -34,7 +35,7 @@ from .lie import (
     commutator,
     parse_xtu,
 )
-from .model import HeatSourceModel
+from .model import HeatSourceModel, vanishes
 
 
 class InadmissibleParamsError(ValueError):
@@ -64,6 +65,11 @@ def _constraint_text_one(kind: str, quantity: str, data: tuple[float, ...]) -> s
     return f"{quantity} < 0"
 
 
+@functools.lru_cache(maxsize=None)
+def _constraint_fn(quantities: tuple[str, ...], params: tuple[str, ...]):
+    return ex.compile_exprs([ex.parse(q) for q in quantities], params)
+
+
 @dataclass(frozen=True)
 class EntrySpec:
     id: str
@@ -90,10 +96,12 @@ class EntrySpec:
         A positive ``margin`` demands distance from the inadmissible set,
         which matching uses to reject degenerate boundary fits.
         """
-        env = {k: float(v) for k, v in params.items()}
+        if not self.constraints:
+            return []
+        fn = _constraint_fn(tuple(q for (_, q, _) in self.constraints), self.params)
+        values, _ = fn(*(float(params[p]) for p in self.params))
         failed = []
-        for kind, quantity, data in self.constraints:
-            v = eval(quantity, {"__builtins__": {}}, env)  # noqa: S307 - entry data
+        for (kind, quantity, data), v in zip(self.constraints, values):
             if kind == "nonzero":
                 ok = abs(v) > margin
             elif kind == "notin":
@@ -220,7 +228,7 @@ ENTRIES: tuple[EntrySpec, ...] = (
         params=("A", "B", "Gamma", "Delta"),
         constraints=(
             ("nonzero", "A", ()),
-            ("nonzero", "B**2 + Gamma**2 + Delta**2", ()),
+            ("nonzero", "B^2 + Gamma^2 + Delta^2", ()),
         ),
         functions=(FunctionSlot("F_x", "x", requires_second_derivative=False),),
         defaults={"A": 1.5, "B": 0.5, "Gamma": 0.3, "Delta": 0.7},
@@ -593,7 +601,7 @@ ENTRIES: tuple[EntrySpec, ...] = (
         constraints=(
             ("nonzero", "A", ()),
             ("nonzero", "B", ()),
-            ("pos", "A**2 - 16*B", ()),
+            ("pos", "A^2 - 16*B", ()),
         ),
         defaults={"A": 3.0, "B": 0.5},
         param_ranges={"A": (2.0, 4.0), "B": (0.1, 0.24)},
@@ -622,7 +630,7 @@ ENTRIES: tuple[EntrySpec, ...] = (
         constraints=(
             ("nonzero", "A", ()),
             ("nonzero", "B", ()),
-            ("neg", "A**2 - 16*B", ()),
+            ("neg", "A^2 - 16*B", ()),
         ),
         defaults={"A": 1.0, "B": 1.0},
         param_ranges={"A": (0.4, 1.6), "B": (0.5, 1.5)},
@@ -694,8 +702,7 @@ def _check_function_choice(slot: FunctionSlot, choice: Expr) -> None:
         raise ValueError(f"function {slot.name} may only use its argument; found {sorted(extra)}")
     if slot.requires_second_derivative:
         var = "s" if slot.argument == "psi" else "x"
-        second = ex.diff(choice, var, 2)
-        if all(abs(ex.evaluate(second, {var: v})) < 1e-12 for v in (0.37, 0.81, 1.43)):
+        if vanishes(ex.diff(choice, var, 2), {var: np.array([0.37, 0.81, 1.43])}, 1e-12):
             raise ValueError(f"function {slot.name} must have a nonvanishing second derivative")
 
 
@@ -885,18 +892,16 @@ def match_fhat(
     fhat_expr = parse_xtu(fhat) if isinstance(fhat, str) else ex.rename(fhat, {"phi": "u", "tau": "t"})
     pde = EvolutionPDE(ex.sym("u_xx") + fhat_expr)
 
-    jet_args = ["x", "t", "u", "u_x", "u_xx", "u_xxx"]
     rng = np.random.default_rng(seed)
-    pts = np.column_stack(
-        [
-            rng.uniform(*_DEF_BOX["x"], n),
-            rng.uniform(-0.5, 0.5, n),
-            rng.uniform(*_DEF_BOX["u"], n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-        ]
-    )
+    cols = [
+        rng.uniform(*_DEF_BOX["x"], n),
+        rng.uniform(-0.5, 0.5, n),
+        rng.uniform(*_DEF_BOX["u"], n),
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.0, 1.0, n),
+    ]
+    jet = dict(zip(["x", "t", "u", "u_x", "u_xx", "u_xxx"], cols))
 
     matches = [{"id": "A_1", "params": {}, "sign_variant": None, "residual": 0.0}]
 
@@ -904,14 +909,13 @@ def match_fhat(
         if spec.id == "A_1" or spec.functions:
             continue
         for variant in spec.variant_names():
-            # Compile the scaled residual once with the entry's parameters
-            # left symbolic; grid/refinement evaluations are then cheap.
-            fns = []
+            # The entry's parameters stay symbolic, so all generators are
+            # compiled once and each draw is one evaluation over all points.
             sub = _signs(variant)
-            for (x1, x2, et) in spec.generators:
-                g = Generator.parse(x1, x2, et).subs(sub)
-                terms = symmetry_condition_terms(pde, g)
-                fns.append(ex.compile_exprs(terms, jet_args + list(spec.params)))
+            groups = [
+                symmetry_condition_terms(pde, Generator.parse(x1, x2, et).subs(sub))
+                for (x1, x2, et) in spec.generators
+            ]
 
             def worst_residual(values):
                 pvals = {k: float(v) for k, v in zip(spec.params, values)}
@@ -920,19 +924,12 @@ def match_fhat(
                 # translation, which matches any autonomous source).
                 if spec.admissible(pvals, margin=0.05):
                     return float("inf")
-                extra = [pvals[k] for k in spec.params]
-                worst = 0.0
-                for fn in fns:
-                    for row in pts:
-                        try:
-                            tv = fn(*(float(v) for v in row), *extra)
-                        except (ex.DomainError, OverflowError, ZeroDivisionError):
-                            continue
-                        if not all(np.isfinite(tv)):
-                            continue
-                        scale = max(1.0, max(abs(v) for v in tv))
-                        worst = max(worst, abs(sum(tv)) / scale)
-                return worst
+                res, mask = ex.scaled_residual(groups, {**jet, **pvals})
+                # Undefined points are skipped, but a generator with no
+                # defined point at all says nothing, so the draw fails.
+                if mask.all(axis=1).any():
+                    return float("inf")
+                return float(np.max(res, where=~mask, initial=0.0))
 
             if spec.params:
                 k = len(spec.params)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -162,6 +161,7 @@ def cmd_catalog(args) -> int:
                 "mean_abs": r.mean_abs,
                 "points": r.n_points,
                 "failed_points": r.points_failed,
+                "skipped_domain_errors": r.skipped_domain_errors,
                 "passed": r.passed,
             }
             for r in report.generator_reports
@@ -229,7 +229,7 @@ def _check_terminal(p: dict, tol: float) -> tuple[dict, bool]:
     sol = terminal_solution(a, b, T)
     res = sol.residual()
     xs = np.linspace(*sol.box["x"], 9)
-    datum = max(abs(sol.evaluate(float(xv), T) - 1.0) for xv in xs)
+    datum = float(np.max(np.abs(sol.evaluate(xs, T) - 1.0)))
     checks = {
         "pde_residual_max": res,
         "boundary_checks": {
@@ -531,6 +531,9 @@ def main(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code
+    except ex.DomainError as e:
+        sys.stderr.write(f"error: domain violation: {e}\n")
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

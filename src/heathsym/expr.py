@@ -10,9 +10,12 @@ machine zero.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Number = Union[int, float, Fraction]
 ExprLike = Union["Expr", int, float, Fraction]
@@ -45,18 +48,18 @@ class DomainError(ExprError):
         super().__init__(message)
 
 
-# Functions understood by the parser / evaluator and their float implementations.
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "ln": None,  # guarded below
-    "sqrt": None,  # guarded below
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "abs": abs,
-    "sign": lambda v: (v > 0) - (v < 0),
+# Functions understood by the parser and their array implementations.
+_FUNCTIONS: dict[str, Callable] = {
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "abs": np.abs,
+    "sign": np.sign,
 }
 
 
@@ -314,47 +317,7 @@ def free_symbols(e: Expr) -> set[str]:
     return out
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if e.op in ("add", "mul", "pow"):
-        return e.args
-    if e.op == "call":
-        return (e.args[1],)
-    return ()
-
-
 # -- evaluation ------------------------------------------------------------
-
-def _eval_call(fname: str, v: float, where: Expr) -> float:
-    if fname == "ln":
-        if v <= 0:
-            raise DomainError(f"ln of non-positive value {v!r}", to_str(where))
-        return math.log(v)
-    if fname == "sqrt":
-        if v < 0:
-            raise DomainError(f"sqrt of negative value {v!r}", to_str(where))
-        return math.sqrt(v)
-    try:
-        return float(_FUNCTIONS[fname](v))
-    except OverflowError:
-        raise DomainError(f"overflow in {fname}({v!r})", to_str(where))
-
-
-def _eval_pow(b: float, ev: float, where: Expr) -> float:
-    if ev == int(ev):
-        if b == 0 and ev < 0:
-            raise DomainError("zero raised to a negative power", to_str(where))
-        return b ** int(ev)
-    if b < 0:
-        raise DomainError(
-            f"negative base {b!r} with non-integer exponent {ev!r}", to_str(where)
-        )
-    if b == 0 and ev < 0:
-        raise DomainError("zero raised to a negative power", to_str(where))
-    try:
-        return b ** ev
-    except OverflowError:
-        raise DomainError("overflow in power", to_str(where))
-
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """Evaluate a closed expression to a float.
@@ -362,35 +325,53 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     Every free symbol must appear in ``env``; domain violations raise
     DomainError naming the offending subexpression instead of producing NaN.
     """
-    memo: dict[Expr, float] = {}
+    names = tuple(sorted(env))
+    point = [float(env[n]) for n in names]
+    (v,), mask = _compiled((e,), names)(*[np.array([p]) for p in point])
+    if mask.any():
+        raise _domain_error((e,), names, point)
+    return v.item()
 
-    def walk(node: Expr) -> float:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.op == "num":
-            v = float(node.args[0])
-        elif node.op == "sym":
-            name = node.args[0]
-            if name not in env:
-                raise UnboundSymbolError(name)
-            v = float(env[name])
-        elif node.op == "add":
-            v = math.fsum(walk(c) for c in node.args)
-        elif node.op == "mul":
-            v = 1.0
-            for c in node.args:
-                v *= walk(c)
-        elif node.op == "pow":
-            v = _eval_pow(walk(node.args[0]), walk(node.args[1]), node)
-        else:  # call
-            v = _eval_call(node.args[0], walk(node.args[1]), node)
-        if math.isinf(v):
-            raise DomainError("overflow to infinity", to_str(node))
-        memo[node] = v
-        return v
 
-    return walk(e)
+def evaluate_many(exprs: Iterable[Expr], points: Mapping[str, object]) -> tuple:
+    """Evaluate expressions at every point at once.
+
+    ``points`` maps each free symbol to an array or a scalar; the values come
+    back broadcast to the points' common shape.  The first point where any
+    expression is undefined raises DomainError naming the subexpression.
+    """
+    exprs, names, args = tuple(exprs), tuple(points), tuple(points.values())
+    values, mask = _compiled(exprs, names)(*args)
+    if mask.any():
+        i = int(np.flatnonzero(mask)[0])
+        raise _domain_error(exprs, names, [np.broadcast_to(a, mask.shape).flat[i] for a in args])
+    return values
+
+
+def scaled_residual(terms: Sequence, points: Mapping[str, object]) -> tuple:
+    """|sum of terms| / max(1, max |term|) at every point, and the mask of
+    points where the residual is undefined (a term or the sum not finite).
+
+    ``terms`` is a sequence of Expr, or a sequence of such groups: all groups
+    are evaluated in one call and give one row of residuals each.  ``points``
+    maps each free symbol to an array or a scalar.
+    """
+    grouped = not isinstance(terms[0], Expr)
+    groups = [tuple(g) for g in terms] if grouped else [tuple(terms)]
+    values, _ = _compiled(tuple(itertools.chain(*groups)), tuple(points))(*points.values())
+    res = np.empty((len(groups),) + values[0].shape)
+    start = 0
+    with np.errstate(all="ignore"):
+        for row, g in zip(res, groups):
+            stop = start + len(g)
+            total = values[start]
+            for v in values[start + 1:stop]:
+                total = total + v
+            scale = np.abs(values[start:stop]).max(axis=0)
+            np.divide(np.abs(total), np.maximum(scale, 1.0), out=row)
+            start = stop
+    bad = ~np.isfinite(res)
+    return (res, bad) if grouped else (res[0], bad[0])
 
 
 # -- differentiation -------------------------------------------------------
@@ -792,117 +773,127 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
     raise ParseError(f"unexpected token {tok[1]!r}" if tok[1] else "unexpected end of input", tok[2])
 
 
-# -- compilation to fast callables ----------------------------------------
+# -- compilation to numpy code ----------------------------------------------
 
-def _c_ln(v, s):
-    if v <= 0:
-        raise DomainError(f"ln of non-positive value {v!r}", s)
-    return math.log(v)
-
-
-def _c_sqrt(v, s):
-    if v < 0:
-        raise DomainError(f"sqrt of negative value {v!r}", s)
-    return math.sqrt(v)
-
-
-def _c_pow(b, e, s):
-    if e == int(e):
-        if b == 0 and e < 0:
-            raise DomainError("zero raised to a negative power", s)
-        try:
-            return b ** int(e)
-        except OverflowError:
-            raise DomainError("overflow in power", s)
-    if b < 0:
-        raise DomainError(f"negative base {b!r} with non-integer exponent {e!r}", s)
-    if b == 0 and e < 0:
-        raise DomainError("zero raised to a negative power", s)
-    try:
-        return b ** e
-    except OverflowError:
-        raise DomainError("overflow in power", s)
-
-
-def _c_exp(v, s):
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise DomainError(f"overflow in exp({v!r})", s)
-
-
-def compile_exprs(exprs: Iterable[Expr], argnames: Iterable[str]) -> Callable[..., tuple]:
-    """Compile expressions into one positional-argument function returning a
-    tuple of floats.  Shared subtrees are evaluated once.  Used for batch
-    sampling; raises the same DomainError family as `evaluate`."""
-    exprs = list(exprs)
-    argnames = list(argnames)
+def _codegen(exprs: Sequence[Expr], argnames: Sequence[str], explain: bool):
+    """Straight-line numpy code for ``exprs``, one assignment per distinct
+    subtree.  exp, sign and negative powers can map an infinite argument to a
+    finite value (exp(-inf) = 0), so their results are poisoned with
+    (arg - arg): zero for a finite argument, nan otherwise.  A failure
+    anywhere therefore reaches every result that depends on it.  With
+    ``explain`` the code returns, at the first non-finite line, its index and
+    its arguments, for scalar arguments only."""
     index: dict[Expr, str] = {}
     lines: list[str] = []
+    nodes: list[Expr] = []
     ns: dict[str, object] = {
-        "_ln": _c_ln, "_sqrt": _c_sqrt, "_pow": _c_pow, "_exp": _c_exp,
-        "sin": math.sin, "cos": math.cos, "tan": math.tan,
-        "sinh": math.sinh, "cosh": math.cosh,
-        "_sign": lambda v: float((v > 0) - (v < 0)),
-        "DomainError": DomainError,
+        "_pow": np.power, "_recip": np.reciprocal, "_isfinite": np.isfinite,
+        "_errstate": np.errstate, "_empty": np.empty, "_shape": np.broadcast_shapes,
+        "_np_shape": np.shape, **{"_" + k: f for k, f in _FUNCTIONS.items()},
     }
-    counter = [0]
 
     def emit(node: Expr) -> str:
         got = index.get(node)
         if got is not None:
             return got
         if node.op == "num":
-            name = f"c{counter[0]}"
+            name = f"c{len(index)}"
             ns[name] = float(node.args[0])
         elif node.op == "sym":
-            sname = node.args[0]
-            if sname not in argnames:
-                raise UnboundSymbolError(sname)
-            index[node] = f"a[{argnames.index(sname)}]"
-            return index[node]
+            if node.args[0] not in argnames:
+                raise UnboundSymbolError(node.args[0])
+            name = f"a[{argnames.index(node.args[0])}]"
         else:
-            if node.op == "add":
-                rhs = " + ".join(emit(c) for c in node.args)
-            elif node.op == "mul":
-                rhs = " * ".join(emit(c) for c in node.args)
+            if node.op in ("add", "mul"):
+                kids = [emit(c) for c in node.args]
+                rhs = (" + " if node.op == "add" else " * ").join(kids)
             elif node.op == "pow":
-                b, ex = node.args
-                if _is_num(ex) and _numval(ex) == Fraction(2):
-                    bb = emit(b)
-                    rhs = f"{bb} * {bb}"
-                elif _is_num(ex) and _numval(ex) == Fraction(-1):
-                    bb = emit(b)
-                    rhs = f"_pow({bb}, -1.0, '')"
+                kids = [emit(c) for c in node.args]
+                b, e = kids
+                ev = _numval(node.args[1]) if _is_num(node.args[1]) else None
+                if ev == 2:
+                    rhs = f"{b} * {b}"
+                elif ev == -1:
+                    rhs = f"_recip({b}) + ({b} - {b})"
+                elif ev is not None and ev > 0:
+                    rhs = f"_pow({b}, {e})"
+                elif ev is not None:
+                    rhs = f"_pow({b}, {e}) + ({b} - {b})"
                 else:
-                    rhs = f"_pow({emit(b)}, {emit(ex)}, '')"
+                    rhs = f"_pow({b}, {e}) + ({b} - {b}) + ({e} - {e})"
             else:
                 fname, arg = node.args
-                aa = emit(arg)
-                if fname in ("ln", "sqrt", "exp"):
-                    rhs = f"_{fname}({aa}, '')"
-                elif fname == "abs":
-                    rhs = f"abs({aa})"
-                elif fname == "sign":
-                    rhs = f"_sign({aa})"
-                else:
-                    rhs = f"{fname}({aa})"
-            name = f"v{counter[0]}"
-            lines.append(f"    {name} = {rhs}")
-            counter[0] += 1
-            index[node] = name
-            return name
-        counter[0] += 1
+                kids = [emit(arg)]
+                rhs = f"_{fname}({kids[0]})"
+                if fname in ("exp", "sign"):
+                    rhs += f" + ({kids[0]} - {kids[0]})"
+            name = f"v{len(nodes)}"
+            lines.append(f"{name} = {rhs}")
+            if explain:
+                lines.append(f"if not _isfinite({name}): return {len(nodes)}, ({', '.join(kids)},)")
+            nodes.append(node)
         index[node] = name
         return name
 
     results = [emit(e) for e in exprs]
-    src = "def _f(*a):\n" + "\n".join(lines or ["    pass"]) + \
-          "\n    return (" + ", ".join(results) + ("," if len(results) == 1 else "") + ")\n"
+    body = "\n".join("        " + line for line in lines or ["pass"])
+    if explain:
+        tail = "return None"
+    else:
+        # one row per result, broadcast to the arguments' shape
+        rows = "".join(f"\n    out[{i}] = {r}" for i, r in enumerate(results))
+        tail = (f"out = _empty(({len(results)},) + _shape(*map(_np_shape, a))){rows}\n"
+                "    return tuple(out), ~_isfinite(out).all(axis=0)")
+    src = f"def _f(*a):\n    with _errstate(all='ignore'):\n{body}\n    {tail}\n"
     exec(compile(src, "<expr-compile>", "exec"), ns)
-    return ns["_f"]  # type: ignore[return-value]
+    return ns["_f"], nodes
 
 
-def compile_expr(e: Expr, argnames: Iterable[str]) -> Callable[..., float]:
-    f = compile_exprs([e], argnames)
-    return lambda *a: f(*a)[0]
+def compile_exprs(exprs: Iterable[Expr], argnames: Iterable[str]) -> Callable[..., tuple]:
+    """Compile expressions into one positional-argument numpy function.
+
+    The arguments are broadcastable arrays (or scalars), one per name in
+    ``argnames``.  The function returns ``(values, mask)``: a tuple with one
+    array per expression, broadcast to the arguments' common shape, and a
+    boolean array of that shape that is True at every point where some
+    value is undefined (ln of a non-positive number, sqrt of a negative one,
+    a negative base with a non-integer exponent, zero to a negative power,
+    overflow, or any other non-finite value).  Values at masked points are
+    meaningless.  Shared subtrees are evaluated once.
+    """
+    return _codegen(list(exprs), list(argnames), explain=False)[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _compiled(exprs: tuple, argnames: tuple) -> Callable[..., tuple]:
+    return compile_exprs(exprs, argnames)
+
+
+def _domain_error(exprs: Sequence[Expr], argnames: Sequence[str], point: Sequence[float]) -> DomainError:
+    """The DomainError for one point where ``exprs`` are undefined, naming
+    the first subexpression that fails there."""
+    fn, nodes = _codegen(list(exprs), list(argnames), explain=True)
+    hit = fn(*point)
+    if hit is None:
+        return DomainError("non-finite value", "; ".join(to_str(e) for e in exprs))
+    node, kids = nodes[hit[0]], [float(v) for v in hit[1]]
+    return DomainError(_failure(node, kids), to_str(node))
+
+
+def _failure(node: Expr, kids: list[float]) -> str:
+    if not all(np.isfinite(kids)):
+        return "non-finite argument"
+    if node.op == "call" and node.args[0] == "ln" and kids[0] <= 0:
+        return f"ln of non-positive value {kids[0]!r}"
+    if node.op == "call" and node.args[0] == "sqrt" and kids[0] < 0:
+        return f"sqrt of negative value {kids[0]!r}"
+    if node.op == "call" and node.args[0] == "exp":
+        return f"overflow in exp({kids[0]!r})"
+    if node.op == "pow":
+        b, e = kids
+        if b < 0 and e != int(e):
+            return f"negative base {b!r} with non-integer exponent {e!r}"
+        if b == 0 and e < 0:
+            return "zero raised to a negative power"
+        return "overflow in power"
+    return "overflow to infinity"

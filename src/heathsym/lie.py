@@ -9,13 +9,13 @@ prefer tau/phi spelling can parse through `parse_xtu`.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, DomainError
+from .expr import Expr
 
 JET_SYMBOLS = ("x", "t", "u", "u_x", "u_t", "u_xx", "u_xt", "u_xxx")
 
@@ -85,25 +85,6 @@ class EvolutionPDE:
         if "u_xx" not in ex.free_symbols(self.rhs):
             raise ValueError("rhs does not depend on u_xx; equation is not parabolic")
 
-    def diffusion_coefficient(self) -> Expr:
-        return ex.diff(self.rhs, "u_xx")
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    x: float
-    t: float
-    u: float
-    u_x: float
-    u_xx: float
-    u_xxx: float
-
-    def env(self) -> dict[str, float]:
-        return {
-            "x": self.x, "t": self.t, "u": self.u,
-            "u_x": self.u_x, "u_xx": self.u_xx, "u_xxx": self.u_xxx,
-        }
-
 
 def _total_x(f: Expr) -> Expr:
     """Total x-derivative on the jet, for f(x,t,u,u_x,u_t,u_xx)."""
@@ -156,19 +137,6 @@ def symmetry_condition_terms(pde: EvolutionPDE, g: Generator) -> list[Expr]:
     return out
 
 
-def symmetry_residual(pde: EvolutionPDE, g: Generator, p: JetPoint,
-                      params: Mapping[str, float] | None = None) -> float:
-    """Value of the on-manifold symmetry condition at one jet point.
-
-    Zero (to round-off) at every jet point exactly when g generates a
-    symmetry of the equation.
-    """
-    env = p.env()
-    if params:
-        env.update(params)
-    return sum(ex.evaluate(term, env) for term in symmetry_condition_terms(pde, g))
-
-
 @dataclass
 class SymmetryReport:
     max_abs: float
@@ -215,27 +183,29 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
     extra = sorted(set().union(*[ex.free_symbols(t) for t in terms]) - set(argnames))
     if extra and not params:
         raise ValueError(f"unbound parameters {extra}; pass params=")
-    fn = ex.compile_exprs(terms, argnames + extra)
-    pvals = [float(params[name]) for name in extra] if extra else []
+    points = {name: float(params[name]) for name in extra}
+    lows = [full_box[s][0] for s in argnames]
+    highs = [full_box[s][1] for s in argnames]
 
+    # Blocks of exactly the points still needed draw the same stream as one
+    # point at a time, so the sample is the first n defined points drawn.
     rng = np.random.default_rng(seed)
-    values = []
-    skipped = 0
-    attempts = 0
-    while len(values) < n:
-        attempts += 1
-        if attempts > 50 * n:
+    kept = []
+    found = skipped = attempts = 0
+    while found < n:
+        m = min(n - found, 50 * n - attempts)
+        if m <= 0:
             raise UnsamplableError(
                 "could not sample enough jet points without domain violations"
             )
-        point = [rng.uniform(*full_box[s]) for s in argnames]
-        try:
-            tv = fn(*point, *pvals)
-        except DomainError:
-            skipped += 1
-            continue
-        scale = max(1.0, max(abs(v) for v in tv))
-        values.append(abs(sum(tv)) / scale)
+        attempts += m
+        block = rng.uniform(lows, highs, size=(m, len(argnames)))
+        points.update(zip(argnames, block.T.copy()))
+        res, mask = ex.scaled_residual(terms, points)
+        kept.append(res[~mask])
+        found += m - int(mask.sum())
+        skipped += int(mask.sum())
+    values = np.concatenate(kept).tolist()
     max_abs = max(values)
     return SymmetryReport(
         max_abs=max_abs,
@@ -299,58 +269,10 @@ def solution_invariance_residual(g: Generator, u: Expr,
         ex.num(-1) * ex.subs(g.xi1, sub) * ux,
         ex.num(-1) * ex.subs(g.xi2, sub) * ut,
     ]
-    worst = 0.0
-    for (xv, tv) in pts:
-        env = {"x": float(xv), "t": float(tv)}
-        if params:
-            env.update({k: float(v) for k, v in params.items()})
-        vals = [ex.evaluate(term, env) for term in terms]
-        scale = max(1.0, max(abs(v) for v in vals))
-        worst = max(worst, abs(sum(vals)) / scale)
-    return worst
-
-
-def terminal_invariance_residual(g: Generator, a: float, b: float, T: float,
-                                 xs: Sequence[float],
-                                 params: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Residuals of generator invariance of the terminal problem in heat
-    variables: the terminal surface tau = T' and the terminal datum
-    phi = exp(-(a x + 1)/b^2) on it, sampled over x.  T' = -b^2 T / 2."""
-    t_prime = -b * b * T / 2.0
-    datum = ex.parse(f"exp(-(({a})*x+1)/({b})^2)")
-    # r1: action on (tau - T') restricted to the surface -> xi2 there
-    # r2: action on (phi - datum(x)) restricted to surface and datum
-    r2_expr = g.eta - g.xi1 * ex.diff(datum, "x")
-    r1 = r2 = 0.0
-    for xv in xs:
-        env = {"x": float(xv), "t": t_prime}
-        env["u"] = ex.evaluate(datum, {"x": float(xv)})
-        if params:
-            env.update({k: float(v) for k, v in params.items()})
-        r1 = max(r1, abs(ex.evaluate(g.xi2, env)))
-        r2 = max(r2, abs(ex.evaluate(r2_expr, env)))
-    return {"r1": r1, "r2": r2}
-
-
-def barrier_invariance_residual(g: Generator, H: Expr, R: Expr, a: float, b: float,
-                                taus: Sequence[float],
-                                params: Mapping[str, float] | None = None) -> dict[str, float]:
-    """Residuals of generator invariance of the barrier problem in heat
-    variables: the surface x = H(tau) and the datum
-    phi = exp(-(a H + R)/b^2) on it, sampled over tau."""
-    H = ex.rename(H, _HEAT_NAMES)
-    R = ex.rename(R, _HEAT_NAMES)
-    datum = ex.exp(ex.mul(-1, (a * H + R) / (b * b)))  # function of t only
-    r1_expr = g.xi1 - g.xi2 * ex.diff(H, "t")
-    r2_expr = g.eta - g.xi2 * ex.diff(datum, "t")
-    r1 = r2 = 0.0
-    for tv in taus:
-        base = {"t": float(tv)}
-        if params:
-            base.update({k: float(v) for k, v in params.items()})
-        xv = ex.evaluate(H, base)
-        uv = ex.evaluate(datum, base)
-        env = {**base, "x": xv, "u": uv}
-        r1 = max(r1, abs(ex.evaluate(r1_expr, env)))
-        r2 = max(r2, abs(ex.evaluate(r2_expr, env)))
-    return {"r1": r1, "r2": r2}
+    xs, ts = np.array(pts, dtype=float).T.copy()
+    points = {"x": xs, "t": ts}
+    points.update({k: float(v) for k, v in (params or {}).items()})
+    res, mask = ex.scaled_residual(terms, points)
+    if mask.any():
+        ex.evaluate_many(terms, points)  # raises, naming the failing subexpression
+    return float(np.max(res, initial=0.0))

@@ -21,6 +21,9 @@ from .lie import EvolutionPDE, parse_xtu
 
 _PHI_SAMPLES = [0.31, 0.57, 0.86, 1.22, 1.73]
 _X_SAMPLES = [0.45, 0.8, 1.15, 1.5]
+# every (x, phi) sample pair, x-major
+_SAMPLE_POINTS = {"x": np.repeat(_X_SAMPLES, len(_PHI_SAMPLES)),
+                  "u": np.tile(_PHI_SAMPLES, len(_X_SAMPLES))}
 
 
 class DegenerateSourceWarning(UserWarning):
@@ -72,12 +75,18 @@ class HeatSourceModel:
 
     def is_degenerate(self, tol: float = 1e-9) -> bool:
         """True when fhat is affine in phi on the sampled domain."""
-        f_pp = ex.diff(self.fhat, "u", 2)
-        for xv in _X_SAMPLES:
-            for uv in _PHI_SAMPLES:
-                if abs(ex.evaluate(f_pp, {"x": xv, "u": uv})) > tol:
-                    return False
-        return True
+        return vanishes(ex.diff(self.fhat, "u", 2), _SAMPLE_POINTS, tol)
+
+
+def vanishes(e: Expr, points: Mapping[str, np.ndarray], tol: float) -> bool:
+    """|e| <= tol at every point.  Points are judged in order: an undefined
+    point raises DomainError unless an earlier point already exceeds tol."""
+    (v,), mask = ex.compile_exprs([e], tuple(points))(*points.values())
+    decisive = np.flatnonzero(mask | (np.abs(v) > tol))
+    if decisive.size and mask[decisive[0]]:
+        i = decisive[0]
+        ex.evaluate(e, {k: pts[i] for k, pts in points.items()})  # raises
+    return decisive.size == 0
 
 
 def parse_if_str(e) -> Expr:
@@ -151,18 +160,14 @@ def pde_residual(pde: EvolutionPDE, u: Expr, pts: Sequence[tuple[float, float]],
     u = ex.rename(parse_if_str(u), {"tau": "t", "phi": "u"})
     jet = {"u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2)}
     rhs_terms = pde.rhs.args if pde.rhs.op == "add" else (pde.rhs,)
-    pieces = [ex.diff(u, "t")] + [ex.subs(t, jet) for t in rhs_terms]
-    names = sorted(set().union(*(ex.free_symbols(p) for p in pieces)))
-    fn = ex.compile_exprs(pieces, names)
-    worst = 0.0
-    for (xv, tv) in pts:
-        env = {"x": float(xv), "t": float(tv)}
-        if params:
-            env.update({k: float(v) for k, v in params.items()})
-        vals = fn(*[env[n] for n in names])
-        gap = abs(vals[0] - sum(vals[1:]))
-        worst = max(worst, gap / max(1.0, *(abs(v) for v in vals)))
-    return worst
+    terms = [ex.diff(u, "t")] + [ex.num(-1) * ex.subs(t, jet) for t in rhs_terms]
+    points = {"x": np.array([p[0] for p in pts], dtype=float),
+              "t": np.array([p[1] for p in pts], dtype=float)}
+    points.update({k: float(v) for k, v in (params or {}).items()})
+    res, mask = ex.scaled_residual(terms, points)
+    if mask.any():
+        ex.evaluate_many(terms, points)  # raises, naming the failing subexpression
+    return float(np.max(res, initial=0.0))
 
 
 def residual_ratio_factor(a: float, b: float) -> Expr:
@@ -209,13 +214,7 @@ def is_linearizable(m: HeathModel, tol: float = 1e-9) -> tuple[bool, Expr | None
         h, _ = heath_to_heat(m)
     if not h.is_degenerate(tol):
         return False, None
-    f_p = ex.diff(h.fhat, "u")
-    phi_free = all(
-        abs(ex.evaluate(f_p, {"x": xv, "u": uv})) <= tol
-        for xv in _X_SAMPLES
-        for uv in _PHI_SAMPLES
-    )
-    if not phi_free:
+    if not vanishes(ex.diff(h.fhat, "u"), _SAMPLE_POINTS, tol):
         return True, None
     g = ex.simplify(ex.num(m.b) ** 4 * ex.substitute(h.fhat, "u", ex.num(1)))
     return True, g

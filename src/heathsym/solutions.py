@@ -94,8 +94,10 @@ class ClosedFormSolution:
                 )
         return None
 
-    def evaluate(self, xv: float, tv: float) -> float:
-        return ex.evaluate(self.u, {"x": float(xv), "t": float(tv)})
+    def evaluate(self, xv, tv):
+        """The field at (x, t); arrays give an array, floats a float."""
+        (v,) = ex.evaluate_many([self.u], {"x": xv, "t": tv})
+        return float(v) if np.ndim(v) == 0 else v
 
     def to_json(self) -> str:
         time_name = "t" if self.picture == "heath" else "tau"
@@ -120,8 +122,9 @@ class ClosedFormSolution:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        for (xv, tv) in self.grid(nx, nt):
-            w.writerow([repr(xv), repr(tv), repr(self.evaluate(xv, tv))])
+        xs, ts = np.array(self.grid(nx, nt)).T
+        for xv, tv, uv in zip(xs.tolist(), ts.tolist(), self.evaluate(xs, ts).tolist()):
+            w.writerow([repr(xv), repr(tv), repr(uv)])
         return buf.getvalue()
 
 
@@ -284,12 +287,8 @@ def terminal_ode_residual(
     lhs = ex.subs(lhs, sub)
     scale = ex.call("abs", ex.num(b) ** 4 * ex.subs(parse_xtu(
         "( (1+E2)*A^2 + (E2-1)*A*S - 8*(1+E1)^2*B )"), sub) * sub["FP"])
-    worst = 0.0
-    for tv in taus:
-        env = {"t": float(tv)}
-        sc = max(1.0, ex.evaluate(scale, env))
-        worst = max(worst, abs(ex.evaluate(lhs, env)) / sc)
-    return worst
+    lv, sv = ex.evaluate_many([lhs, scale], {"t": np.asarray(taus, dtype=float)})
+    return float(np.max(np.abs(lv) / np.maximum(1.0, sv), initial=0.0))
 
 
 # -- barrier problem --------------------------------------------------------
@@ -351,7 +350,8 @@ def barrier_H_ode_residual(
         * (ex.num(c3) + ex.exp(ex.num(S) * ex.sym("t")) * ex.num(c4))
         - ex.num(c1) * ex.diff(Ht, "t")
     )
-    return max(abs(ex.evaluate(lhs, {"t": float(tv)})) for tv in taus)
+    (v,) = ex.evaluate_many([lhs], {"t": np.asarray(taus, dtype=float)})
+    return float(np.max(np.abs(v)))
 
 
 def barrier_R_general(
@@ -408,7 +408,8 @@ def barrier_R_ode_residual(
         "RP": ex.diff(Rt, "t"),
     }
     lhs = ex.subs(parse_xtu(_R_ODE), sub)
-    return max(abs(ex.evaluate(lhs, {"t": float(tv)})) for tv in taus)
+    (v,) = ex.evaluate_many([lhs], {"t": np.asarray(taus, dtype=float)})
+    return float(np.max(np.abs(v)))
 
 
 @dataclass(frozen=True)
@@ -510,14 +511,10 @@ class BarrierSolution:
         b = self.heath.params["b"]
         H = ex.rename(self.spec.H_of_t(b), {"tau": "t"})
         R = ex.rename(self.spec.R_of_t(b), {"tau": "t"})
-        worst = 0.0
-        for tv in ts:
-            env = {"t": float(tv)}
-            hv = ex.evaluate(H, env)
-            rv = ex.evaluate(R, env)
-            uv = self.heath.evaluate(hv, tv)
-            worst = max(worst, abs(uv - rv) / max(1.0, abs(rv)))
-        return worst
+        ts = np.asarray(ts, dtype=float)
+        hv, rv = ex.evaluate_many([H, R], {"t": ts})
+        uv = self.heath.evaluate(hv, ts)
+        return float(np.max(np.abs(uv - rv) / np.maximum(1.0, np.abs(rv))))
 
     def phi_boundary_residual(self, taus: Sequence[float]) -> float:
         """Max scaled |phi(H(tau), tau) - exp(-(a H + R)/b^2)|."""
@@ -525,31 +522,28 @@ class BarrierSolution:
         b = self.heath.params["b"]
         H = ex.rename(self.spec.H, {"tau": "t"})
         R = ex.rename(self.spec.R, {"tau": "t"})
-        worst = 0.0
-        for tv in taus:
-            env = {"t": float(tv)}
-            hv = ex.evaluate(H, env)
-            rv = ex.evaluate(R, env)
-            pv = ex.evaluate(self.heat.u, {"x": hv, "t": float(tv)})
-            datum = math.exp(-(a * hv + rv) / (b * b))
-            worst = max(worst, abs(pv - datum) / max(1.0, abs(datum)))
-        return worst
+        taus = np.asarray(taus, dtype=float)
+        hv, rv = ex.evaluate_many([H, R], {"t": taus})
+        (pv,) = ex.evaluate_many([self.heat.u], {"x": hv, "t": taus})
+        datum = self._to_phi(a, b, hv, rv)
+        return float(np.max(np.abs(pv - datum) / np.maximum(1.0, np.abs(datum))))
 
     def picture_consistency(self, pts: Sequence[tuple[float, float]]) -> float:
         """Max relative gap between the heat-picture field and the mapped
         original-picture field at (x, t) points."""
         a = self.heath.params["a"]
         b = self.heath.params["b"]
-        worst = 0.0
-        for (xv, tv) in pts:
-            uv = self.heath.evaluate(xv, tv)
-            tauv = -(b * b) / 2 * tv
-            phi_direct = ex.evaluate(self.heat.u, {"x": float(xv), "t": tauv})
-            phi_mapped = math.exp(-(a * xv + uv) / (b * b))
-            worst = max(
-                worst, abs(phi_direct - phi_mapped) / max(1.0, abs(phi_mapped))
-            )
-        return worst
+        xs, ts = np.array(pts, dtype=float).T.copy()
+        uv = self.heath.evaluate(xs, ts)
+        (phi_direct,) = ex.evaluate_many([self.heat.u], {"x": xs, "t": -(b * b) / 2 * ts})
+        phi_mapped = self._to_phi(a, b, xs, uv)
+        return float(np.max(np.abs(phi_direct - phi_mapped) / np.maximum(1.0, np.abs(phi_mapped))))
+
+    @staticmethod
+    def _to_phi(a: float, b: float, xs, us) -> np.ndarray:
+        """phi = exp(-(a x + u)/b^2); overflow raises DomainError."""
+        (phi,) = ex.evaluate_many([CoordinateMap.heath_heat(a, b).forward[2]], {"x": xs, "u": us})
+        return phi
 
     def invariance_residual(self, pts: Sequence[tuple[float, float]]) -> float:
         """Scaled residual of the generator's invariant-surface condition on
@@ -561,10 +555,9 @@ class BarrierSolution:
         terminal time: the solution satisfies the barrier data, not the
         payoff."""
         K, T = self.spec.K, self.spec.T
-        gaps = {}
-        for xv in xs:
-            uv = self.heath.evaluate(xv, T)
-            gaps[float(xv)] = uv - max(xv - K, 0.0)
+        xs = np.asarray(xs, dtype=float)
+        uv = self.heath.evaluate(xs, T)
+        gaps = dict(zip(xs.tolist(), (uv - np.maximum(xs - K, 0.0)).tolist()))
         return {"satisfied": all(abs(g) < 1e-9 for g in gaps.values()), "gaps": gaps}
 
 

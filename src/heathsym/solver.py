@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -26,7 +25,7 @@ from scipy.linalg import solve_banded
 
 from . import expr as ex
 from .expr import Expr
-from .model import HeatSourceModel, parse_if_str
+from .model import CoordinateMap, HeatSourceModel, parse_if_str
 from .solutions import BarrierSpec
 
 _BLOWUP = 1e12
@@ -148,17 +147,17 @@ class SchemeConfig:
                 )
 
 
-def _field_fn(f, names: Sequence[str]) -> Callable[..., float]:
-    """Accept an Expr, a string, or a callable and return a positional
-    callable over ``names``."""
+def _field_fn(f, names: Sequence[str]) -> Callable[..., np.ndarray]:
+    """Accept an Expr, a string, or a scalar callable and return a
+    positional callable over ``names`` that takes arrays.  An undefined
+    point raises DomainError."""
     if callable(f) and not isinstance(f, Expr):
-        return f
+        return np.vectorize(f, otypes=[float])
     e = ex.rename(parse_if_str(f), {"phi": "u", "tau": "t"})
     extra = ex.free_symbols(e) - set(names)
     if extra:
         raise ValueError(f"expression may only contain {names}; found {sorted(extra)}")
-    compiled = ex.compile_exprs([e], list(names))
-    return lambda *a: compiled(*a)[0]
+    return lambda *a: ex.evaluate_many([e], dict(zip(names, a)))[0]
 
 
 def _check_finite(phi: np.ndarray, tau: float) -> None:
@@ -170,13 +169,6 @@ def _check_finite(phi: np.ndarray, tau: float) -> None:
             f"instability detected: |phi| reached {m:.3g} > {_BLOWUP:.0e} "
             f"at tau = {tau:.6g}"
         )
-
-
-def _source_vector(fhat, xs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    out = np.empty_like(phi)
-    for i in range(phi.size):
-        out[i] = fhat(xs[i], phi[i])
-    return out
 
 
 def _cn_matrix(n: int, lam: float) -> np.ndarray:
@@ -210,14 +202,14 @@ def solve(
     h, k = grid.h, grid.k
     fhat = _field_fn(model.fhat, ("x", "u"))
 
-    init_fn = _field_fn(init, ("x",))
-    phi = np.array([init_fn(xv) for xv in xs], dtype=float)
+    phi = np.array(_field_fn(init, ("x",))(xs), dtype=float)
 
     if scheme.boundary == BOUNDARY_EXACT:
         if boundary is None:
             raise ValueError("exact-dirichlet boundary mode needs boundary data")
         bfn = _field_fn(boundary, ("x", "t"))
-        bc = lambda tau: (bfn(xs[0], tau), bfn(xs[-1], tau))
+        ends = xs[[0, -1]]
+        bc = lambda tau: tuple(bfn(ends, tau))
     else:
         if boundary is None:
             frozen = (float(phi[0]), float(phi[-1]))
@@ -235,7 +227,8 @@ def solve(
 
     for m in range(grid.ntau):
         tau_new = taus[m + 1]
-        src = _source_vector(fhat, xs[1:-1], phi[1:-1])
+        src = fhat(xs[1:-1], phi[1:-1])
+        bl_new, br_new = bc(tau_new)
         if scheme.scheme == EXPLICIT:
             lap = (phi[:-2] - 2 * phi[1:-1] + phi[2:]) / (h * h)
             interior = phi[1:-1] + k * (lap + src)
@@ -243,7 +236,6 @@ def solve(
             # Adams-Bashforth 2 source after the first (Euler) step keeps the
             # split second-order in time.
             s_eff = src if src_prev is None else 1.5 * src - 0.5 * src_prev
-            bl_new, br_new = bc(tau_new)
             rhs = (
                 phi[1:-1]
                 + (lam / 2.0) * (phi[:-2] - 2 * phi[1:-1] + phi[2:])
@@ -255,7 +247,7 @@ def solve(
         src_prev = src
         phi = np.empty_like(phi)
         phi[1:-1] = interior
-        phi[0], phi[-1] = bc(tau_new)
+        phi[0], phi[-1] = bl_new, br_new
         _check_finite(phi, tau_new)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PositivityWarning)
@@ -266,17 +258,10 @@ def solve(
 def _barrier_datum(spec: BarrierSpec) -> Callable[[float], tuple[float, float]]:
     """Per-tau (H, phi-on-barrier) with the original-picture datum mapped to
     the heat picture: phi = exp(-(a H + R)/b^2)."""
-    a = spec.params["a"]
-    b = spec.params["b"]
-    Hfn = _field_fn(spec.H, ("t",))
-    Rfn = _field_fn(spec.R, ("t",))
-
-    def at(tau: float) -> tuple[float, float]:
-        hv = Hfn(tau)
-        rv = Rfn(tau)
-        return hv, math.exp(-(a * hv + rv) / (b * b))
-
-    return at
+    H, R = (ex.rename(e, {"tau": "t"}) for e in (spec.H, spec.R))
+    to_phi = CoordinateMap.heath_heat(spec.params["a"], spec.params["b"]).forward[2]
+    exprs = [H, ex.subs(to_phi, {"x": H, "u": R})]
+    return lambda tau: tuple(float(v) for v in ex.evaluate_many(exprs, {"t": tau}))
 
 
 def solve_barrier(
@@ -324,7 +309,7 @@ def solve_barrier(
         x0, x1 = xs[j], xs[j + 1]
         return (dv * (x1 - x0) + right_val * (x0 - hv)) / (x1 - hv)
 
-    phi = np.array([ref(xv, taus[0]) for xv in xs], dtype=float)
+    phi = np.array(ref(xs, taus[0]), dtype=float)
     j0, hv0, dv0 = barrier_at(taus[0], 0)
     phi[: j0 + 1] = dv0
     phi[j0] = interp_left(j0, hv0, dv0, phi[j0 + 1])
@@ -345,8 +330,8 @@ def solve_barrier(
             work[j : j_prev + 1] = phi[j_prev]
         lo = j + 1  # first unknown; node j is the interpolated Dirichlet node
         n_act = grid.nx + 1 - lo  # unknowns lo .. nx
-        src = _source_vector(fhat, xs[lo:-1], work[lo:-1])
-        br_new = ref(xs[-1], tau_new)
+        src = fhat(xs[lo:-1], work[lo:-1])
+        br_new = float(ref(xs[-1], tau_new))
         left_new = interp_left(j, hv, dv, work[lo])
         if scheme.scheme == EXPLICIT:
             lap = (work[lo - 1 : -2] - 2 * work[lo:-1] + work[lo + 1 :]) / (h * h)
@@ -384,7 +369,7 @@ def barrier_mask(spec: BarrierSpec, grid: GridSpec, tau: float) -> np.ndarray:
     """Boolean mask of nodes strictly inside the moving domain at ``tau``,
     excluding the interpolated first interior node and the right boundary."""
     xs = grid.nodes()
-    hv = _field_fn(spec.H, ("t",))(tau)
+    hv = float(_field_fn(spec.H, ("t",))(tau))
     j = int(np.searchsorted(xs, hv, side="right"))
     mask = np.zeros(xs.size, dtype=bool)
     mask[j + 1 : -1] = True
@@ -410,9 +395,7 @@ def error_norms(
             sel[1:-1] = True
         else:
             sel = mask(snap.tau)
-        err = np.array(
-            [snap.phi[i] - ref(xs[i], snap.tau) for i in np.nonzero(sel)[0]]
-        )
+        err = snap.phi[sel] - ref(xs[sel], snap.tau)
         linf = float(np.max(np.abs(err))) if err.size else 0.0
         l2 = float(math.sqrt(grid.h * float(np.sum(err * err))))
         out.append({"tau": float(snap.tau), "Linf": linf, "L2": l2})
@@ -466,12 +449,11 @@ def convergence_study(
     """Run the case at each refinement level (interior node counts) and fit
     the observed order as the least-squares slope of log error vs log h.
 
-    Levels run concurrently.  A non-monotone error sequence is reported in
-    the result, never hidden."""
+    Levels run one after another.  A non-monotone error sequence is
+    reported in the result, never hidden."""
     if len(refinements) < 3:
         raise ValueError("need >=3 levels")
-    with ThreadPoolExecutor(max_workers=min(4, len(refinements))) as pool:
-        errors = list(pool.map(case.run, refinements))
+    errors = [case.run(nx) for nx in refinements]
     hs = [(case.grid.x_hi - case.grid.x_lo) / (nx + 1) for nx in refinements]
     logs_h = np.log(np.array(hs))
     logs_e = np.log(np.array(errors))

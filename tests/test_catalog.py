@@ -6,6 +6,7 @@ import pytest
 from heathsym import expr as ex
 from heathsym.catalog import (
     InadmissibleParamsError,
+    _constraint_text_one,
     UnknownEntryError,
     export_json,
     get_spec,
@@ -102,6 +103,46 @@ def test_match_fhat_rejects_generic_source():
     # a generic source admits only the one-dimensional translation algebra
     matches = match_fhat("phi^2 + sin(x)*phi^3", n=30, seed=0, tolerance=1e-6)
     assert [m["id"] for m in matches] == ["A_1"]
+
+
+def test_match_fhat_no_defined_point_is_no_match():
+    # At the best draw for A_3_5_5 (A ~ 517, B ~ -1057) every sample point
+    # fails in exp(-B x) for all generators but the time translation; such a
+    # draw must not read as a perfect fit.
+    matches = match_fhat("0.716239*phi^2 + sin(1.45892*x + 0.311831)*phi^3",
+                         n=10, seed=1020552622)
+    assert [m["id"] for m in matches] == ["A_1"]
+
+
+def test_admissible_verdicts():
+    # verdicts from sympy on the constraint text, at every entry's defaults
+    # and at boundary points of each constraint
+    sympy = pytest.importorskip("sympy")
+    cases = [(spec, dict(spec.defaults)) for spec in map(get_spec, (m["id"] for m in list_entries()))]
+    a41, a42, a224 = get_spec("A_4_1"), get_spec("A_4_2"), get_spec("A_2_2_4")
+    cases += [
+        (a41, {"A": 4.0, "B": 1.0}), (a41, {"A": 0.0, "B": 0.5}), (a41, {"A": 4.0, "B": 0.9}),
+        (a42, {"A": 4.0, "B": 1.0}), (a42, {"A": 2.0, "B": 0.0}),
+        (a224, {"A": 1.0, "B": 0.0, "Gamma": 0.0, "Delta": 0.0}),
+        (get_spec("A_3_5_1"), {"A": 1.0, "B": -1.0, "Gamma": 1.0, "Delta": 0.3, "E": 0.2}),
+        (get_spec("A_3_5_4"), {"A": -2.0, "B": 0.6}),
+        (get_spec("A_3_8_2"), {"A": 0.8, "B": 0.0, "Gamma": 0.5, "Delta": 0.3}),
+        (get_spec("A_4_4"), {"A": 0.0, "B": 2.0}),
+    ]
+    for spec, params in cases:
+        for margin in (0.0, 0.05):
+            want = []
+            for kind, quantity, data in spec.constraints:
+                v = float(sympy.sympify(quantity.replace("^", "**")).subs(params))
+                ok = {"nonzero": lambda: abs(v) > margin,
+                      "notin": lambda: min(abs(v - b) for b in data) > margin,
+                      "pos": lambda: v > margin,
+                      "neg": lambda: v < -margin}[kind]()
+                if not ok:
+                    want.append(_constraint_text_one(kind, quantity, data))
+            assert spec.admissible(params, margin=margin) == want, (spec.id, params, margin)
+        assert not spec.admissible(spec.defaults)
+    assert get_spec("A_4_1").admissible({"A": 4.0, "B": 1.0}) == ["A^2 - 16*B > 0"]
 
 
 def test_export_json_round_trips():

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from heathsym.catalog import verify_entry
 from heathsym.cli import main
 
 PI = math.pi
@@ -36,6 +37,10 @@ def test_catalog_verify_pass(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] and data["max_abs_residual"] < 1e-8
+    report = verify_entry("A_4_4", params={"A": 1, "B": 2}, n=40, seed=0)
+    assert [g["skipped_domain_errors"] for g in data["generators"]] == [
+        r.skipped_domain_errors for r in report.generator_reports
+    ]
 
 
 def test_catalog_verify_inadmissible(capsys):
@@ -208,3 +213,16 @@ def test_model_descriptor_from_file(tmp_path, capsys):
     p.write_text(SIN_MODEL)
     code, out, _ = run(capsys, "solve", "--model", str(p), "--grid", SIN_GRID)
     assert code == 0
+
+
+def test_solve_domain_violation_exit_3(capsys):
+    # ln(x - 0.5) is undefined on the left half of the strip
+    model = json.dumps({"fhat": "ln(x-0.5)*phi", "exact": "exp(-tau)*sin(x)"})
+    grid = json.dumps({"x_lo": 0, "x_hi": 1, "nx": 16, "tau0": 0, "tau1": 0.1, "ntau": 40})
+    code, out, err = run(capsys, "solve", "--model", model, "--grid", grid)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert "domain violation" in err and "'ln(-1/2 + x)'" in err
+    code, _, err = run(capsys, "converge", "--model", model, "--grid", grid,
+                       "--params", '{"levels": [16, 32, 64]}')
+    assert code == 3 and "'ln(-1/2 + x)'" in err

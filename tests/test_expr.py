@@ -1,7 +1,12 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from heathsym import expr as ex
 
@@ -133,17 +138,22 @@ def test_compile_matches_evaluate():
     e1 = ex.parse("exp(x)*sin(y) + x^3/(1+y^2)")
     e2 = ex.parse("ln(x) - sqrt(y)")
     fn = ex.compile_exprs([e1, e2], ["x", "y"])
-    for _ in range(10):
-        xv, yv = rng.uniform(0.5, 2.0, 2)
-        v1, v2 = fn(float(xv), float(yv))
-        assert abs(v1 - ex.evaluate(e1, {"x": xv, "y": yv})) < 1e-13
-        assert abs(v2 - ex.evaluate(e2, {"x": xv, "y": yv})) < 1e-13
+    xs, ys = rng.uniform(0.5, 2.0, (2, 10))
+    (v1, v2), mask = fn(xs, ys)
+    assert mask.shape == (10,) and not mask.any()
+    for i in range(10):
+        env = {"x": xs[i], "y": ys[i]}
+        assert abs(v1[i] - ex.evaluate(e1, env)) < 1e-13
+        assert abs(v2[i] - ex.evaluate(e2, env)) < 1e-13
 
 
 def test_compile_domain_error():
     fn = ex.compile_exprs([ex.parse("ln(x)")], ["x"])
-    with pytest.raises(ex.DomainError):
-        fn(-1.0)
+    _, mask = fn(np.array([1.0, -1.0, 2.0]))
+    assert mask.tolist() == [False, True, False]
+    with pytest.raises(ex.DomainError) as ei:
+        ex.evaluate(ex.parse("ln(x)"), {"x": -1.0})
+    assert ei.value.subexpr == "ln(x)"
 
 
 def test_arithmetic_operators_on_expr():
@@ -151,3 +161,153 @@ def test_arithmetic_operators_on_expr():
     e = (x + 1) * (x - 1) - (x * x - 1)
     for xv in (0.3, 2.0):
         assert abs(ex.evaluate(e, {"x": xv})) < 1e-14
+
+
+# -- property tests of the array evaluator ----------------------------------
+
+_KERNEL = ("exp", "ln", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "abs", "sign")
+_CONSTS = tuple(Fraction(c) for c in ("-2", "-1", "-1/2", "1/2", "1", "2", "3"))
+_EXPONENTS = tuple(Fraction(c) for c in ("2", "3", "-1", "-2", "1/2", "-1/2", "3/2"))
+# values agree with the exact ones within this much, times max(1, |largest summand|)
+_VALUE_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
+
+
+def _build(make, *args):
+    try:
+        return make(*args)
+    except ex.ExprError:  # constant folding hit 0^-1
+        return None
+
+
+def _exprs():
+    leaves = st.sampled_from([ex.sym("x"), ex.sym("y")] + [ex.num(c) for c in _CONSTS])
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(kids, kids).map(lambda p: ex.add(*p)),
+            st.tuples(kids, kids).map(lambda p: ex.mul(*p)),
+            st.tuples(kids, st.sampled_from(_EXPONENTS)).map(
+                lambda p: _build(ex.pow_, p[0], ex.num(p[1]))),
+            st.tuples(kids, kids).map(lambda p: _build(ex.pow_, *p)),
+            st.tuples(st.sampled_from(_KERNEL), kids).map(lambda p: ex.call(*p)),
+        ).filter(lambda e: e is not None)
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+class _Ambiguous(Exception):
+    """The exact value sits so close to a domain or overflow boundary that
+    rounding may decide either way."""
+
+
+class _Undefined(Exception):
+    pass
+
+
+def _exact(e, env):
+    """Exact value of ``e`` by sympy at 60 digits, applying the domain rules
+    node by node: ln <= 0, sqrt < 0, negative base with non-integer
+    exponent, zero to a negative power, and magnitudes beyond double range."""
+    memo = {}
+
+    def near(v, target=0):
+        return abs(v - target) < 1e-9
+
+    def shaky(node, v):
+        # near zero, and not exactly an input that the float path sees too
+        return near(v) and node.op != "sym"
+
+    def walk(node):
+        if node in memo:
+            return memo[node]
+        if node.op == "num":
+            v = sympy.Rational(node.args[0].numerator, node.args[0].denominator)
+        elif node.op == "sym":
+            v = sympy.Float(env[node.args[0]], 60)
+        elif node.op == "add":
+            v = sympy.Add(*[walk(c) for c in node.args])
+        elif node.op == "mul":
+            v = sympy.Mul(*[walk(c) for c in node.args])
+        elif node.op == "pow":
+            b, p = walk(node.args[0]), walk(node.args[1])
+            if shaky(node.args[0], b) and p < 0:
+                raise _Ambiguous
+            if b == 0 and p < 0:
+                raise _Undefined
+            if b < 0 and p != int(p):
+                if near(p, round(p)) or shaky(node.args[0], b):
+                    raise _Ambiguous
+                raise _Undefined
+            if b < 0 and node.args[1].op != "num":
+                raise _Ambiguous  # an exponent that rounding may move off an integer
+            v = sympy.Pow(b, p)
+        else:
+            fname, arg = node.args[0], walk(node.args[1])
+            if fname in ("ln", "sqrt", "sign") and shaky(node.args[1], arg):
+                raise _Ambiguous
+            if (fname == "ln" and arg <= 0) or (fname == "sqrt" and arg < 0):
+                raise _Undefined
+            if fname == "tan" and near(sympy.cos(arg).evalf(60)):
+                raise _Ambiguous
+            fn = {"ln": sympy.log, "abs": sympy.Abs}.get(fname) or getattr(sympy, fname)
+            v = fn(arg)
+        v = sympy.N(v, 60)
+        if v != 0 and (abs(abs(v) / _FLOAT_MAX - 1) < 1e-9 or abs(v) < 1e-290):
+            raise _Ambiguous
+        if abs(v) > _FLOAT_MAX:
+            raise _Undefined
+        memo[node] = v
+        return v
+
+    return walk(e)
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_exprs(), st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8))
+# failures that exp, sign and powers would hide: exp(-inf) = 0, sign(inf) = 1,
+# 1/-inf = 0, 2^-inf = 0
+@example(ex.parse("exp(ln(x))"), [(0.0, 1.0), (2.0, 1.0)])
+@example(ex.parse("sign(1/x) + y"), [(0.0, 1.0), (-1.5, 0.5)])
+@example(ex.parse("ln(x)^(-1)*y"), [(0.0, 1.0), (0.5, 2.0)])
+@example(ex.parse("2^ln(x) + sqrt(y)"), [(0.0, 1.0), (1.0, -1.0), (2.0, 2.0)])
+def test_evaluator_batch_mask_and_values(e, pts):
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    fn = ex.compile_exprs([e], ["x", "y"])
+    (vals,), mask = fn(xs, ys)
+    assert vals.shape == mask.shape == xs.shape
+    # several expressions: the mask is the union, the values are unchanged
+    other = ex.call("ln", ex.sym("y"))
+    (v1, v2), both = ex.compile_exprs([other, e], ["x", "y"])(xs, ys)
+    assert both.tolist() == (mask | (ys <= 0)).tolist()
+    assert v2[~both].tobytes() == vals[~both].tobytes()
+    summands = e.args if e.op == "add" else (e,)
+    for i, (xv, yv) in enumerate(pts):
+        # a batch equals each point alone, bit for bit, and evaluate agrees
+        (one,), one_mask = fn(xs[i:i + 1], ys[i:i + 1])
+        assert one_mask[0] == mask[i]
+        if mask[i]:
+            with pytest.raises(ex.DomainError) as ei:
+                ex.evaluate(e, {"x": xv, "y": yv})
+            assert ei.value.subexpr
+            continue
+        assert one[0].tobytes() == vals[i].tobytes()
+        assert np.float64(ex.evaluate(e, {"x": xv, "y": yv})).tobytes() == vals[i].tobytes()
+        # the mask and the values agree with sympy
+    for i, (xv, yv) in enumerate(pts):
+        env = {"x": xv, "y": yv}
+        try:
+            want = _exact(e, env)
+        except _Ambiguous:
+            continue
+        except _Undefined:
+            assert mask[i], (ex.to_str(e), env)
+            continue
+        assert not mask[i], (ex.to_str(e), env)
+        scale = max([1.0] + [float(abs(_exact(s, env))) for s in summands])
+        assert abs(vals[i] - float(want)) <= _VALUE_TOL * scale, (ex.to_str(e), env)

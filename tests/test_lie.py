@@ -5,6 +5,7 @@ import pytest
 
 from heathsym import expr as ex
 from heathsym.lie import (
+    DEFAULT_BOX,
     EvolutionPDE,
     Generator,
     check_symmetry,
@@ -13,6 +14,7 @@ from heathsym.lie import (
     invariant_surface,
     prolong2,
     solution_invariance_residual,
+    symmetry_condition_terms,
 )
 
 HEAT = EvolutionPDE(ex.parse("u_xx"))  # phi_tau = phi_xx, zero source
@@ -117,3 +119,27 @@ def test_classification_residual_nonzero_for_non_symmetry():
     F4 = ex.parse("0*tau")
     p = {"x": 1.0, "tau": 0.2, "phi": 1.3}
     assert abs(classification_residual(src, F1, F2, F3, F4, p)) > 1e-3
+
+
+def test_check_symmetry_matches_point_by_point_reference():
+    # ln(x - 1) is undefined on half of the default x range, so about half
+    # the draws are skipped; blocked sampling must keep the same points as
+    # drawing and evaluating one jet point at a time
+    pde = EvolutionPDE(ex.sym("u_xx") + ex.parse("ln(x - 1)*u^2"))
+    g = Generator.parse("x", "2*tau", "phi")
+    rep = check_symmetry(pde, g, n=40, seed=7)
+
+    terms = symmetry_condition_terms(pde, g)
+    rng = np.random.default_rng(7)
+    values, skipped = [], 0
+    while len(values) < 40:
+        env = {s: rng.uniform(*DEFAULT_BOX[s]) for s in ("x", "t", "u", "u_x", "u_xx", "u_xxx")}
+        try:
+            tv = [ex.evaluate(t, env) for t in terms]
+        except ex.DomainError:
+            skipped += 1
+            continue
+        values.append(abs(sum(tv)) / max(1.0, max(abs(v) for v in tv)))
+    assert skipped > 10 and rep.skipped_domain_errors == skipped
+    assert rep.max_abs == max(values)
+    assert rep.n_points == 40 and rep.points_failed == sum(v >= 1e-8 for v in values)
