@@ -11,16 +11,23 @@ generator basis, written in (x, tau, phi) spelling.  Placeholders:
 * ``pm`` / ``mp`` - +1/-1 resp. -1/+1 for the sign variants
 
 Entries whose customary tabulated form mixes variable names (u for phi, t for tau) or
-constants are carried with the consistent reading and flagged; where a
-localized correction was needed to make residuals vanish, both the literal
-and corrected readings are retained.
+constants are carried with the consistent reading and flagged.  Where a
+localized correction was needed to make residuals vanish, the entry holds the
+corrected reading, and the literal one is kept as data in LITERAL_READINGS
+under the id ``<id>:literal``: `get_spec`, `instantiate` and `verify_entry`
+accept it, ENTRIES, `list_entries` and `export_json` leave it out.  It is a
+negative control: the check must reject it.
+
+An entry is built symbolically once per (id, sign variant, function choices)
+with its parameters left as symbols; every parameter draw substitutes into,
+or is checked against, that one build.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -669,6 +676,54 @@ ENTRIES: tuple[EntrySpec, ...] = (
 _BY_ID: dict[str, EntrySpec] = {e.id: e for e in ENTRIES}
 
 
+def _literal(entry_id: str, reading: str, **changes) -> EntrySpec:
+    """The customary tabulation of an entry read literally where its
+    correction is more than a rename."""
+    return replace(_BY_ID[entry_id], id=entry_id + ":literal",
+                   flags=(f"literal reading ({reading}); fails the symmetry check",), **changes)
+
+
+# Negative controls: each fails the check in the variant where its
+# correction matters and passes in the other.
+LITERAL_READINGS: tuple[EntrySpec, ...] = (
+    _literal(
+        "A_3_5_2", "outer sign pm of the linear source term omitted",
+        fhat="(5 + B + mp*x^2)*phi/(B+1)^2 - A*exp(mp*x^2/2)*abs(phi)^(-B)",
+    ),
+    _literal(
+        "A_3_5_4", "generator constant Gamma independent of the source's B",
+        generators=(
+            ("0", "1", "0"),
+            ("1", "0", "-Gamma*phi"),
+            ("x + 2*Gamma*tau", "2*tau", "-((1+A)*Gamma*(x + 2*Gamma*tau) - 2)*phi/(A+1)"),
+        ),
+        params=("A", "B", "Gamma"),
+        defaults={"A": 1.0, "B": 0.6, "Gamma": 0.9},
+        param_ranges={"A": (0.4, 1.6), "B": (0.3, 1.0), "Gamma": (0.3, 1.0)},
+    ),
+    _literal(
+        "A_3_5_8", "leading source sign printed as the variant sign mp",
+        fhat=(
+            "mp*exp(mp*x^2/2)*(A*exp(-psi)/(x+B)^2"
+            " + pm*(pm*x^2-1)*psi + 2*(1 + mp*2*B*(x+B))/(x+B)^2)"
+        ),
+    ),
+    _literal(
+        "A_3_5_10", "third generator's time exponent printed as e^{4*tau}",
+        generators=_BY_ID["A_3_5_10"].generators[:2] + (
+            ("2*exp(4*tau)*x", "mp*exp(4*tau)", "-2*exp(4*tau)*(2*exp(pm*x^2/2) + mp*x^2*phi)"),
+        ),
+    ),
+    _literal(
+        "A_4_3", "fourth generator's exponential printed as e^{tau/2}",
+        generators=_BY_ID["A_4_3"].generators[:3] + (
+            ("4*exp(tau/2)*tau", "0", "-exp(tau/2)*(2 + pm*tau)*x*phi"),
+        ),
+    ),
+)
+_BY_ID.update((e.id, e) for e in LITERAL_READINGS)
+
+
 def get_spec(entry_id: str) -> EntrySpec:
     try:
         return _BY_ID[entry_id]
@@ -706,20 +761,65 @@ def _check_function_choice(slot: FunctionSlot, choice: Expr) -> None:
             raise ValueError(f"function {slot.name} must have a nonvanishing second derivative")
 
 
-def instantiate(
-    entry_id: str,
-    params: Mapping[str, float] | None = None,
-    functions: Mapping[str, str | Expr] | None = None,
-    sign_variant: str = "plus",
-    fhat: str | Expr | None = None,
-) -> CatalogEntry:
-    """Build a concrete catalog entry.
+@dataclass(frozen=True)
+class _SymbolicEntry:
+    """An entry with its sign variant and function choices filled in and its
+    parameters left as symbols."""
 
-    ``functions`` maps slot names (F_psi, F_x) to expressions in ``s``
-    (functions of psi) or ``x``.  For A_1 an explicit ``fhat`` must be given
-    (or the default phi^2 is used).  Inadmissible parameters raise
-    InadmissibleParamsError naming the violated predicate.
-    """
+    fhat: Expr
+    psi: Expr | None
+    pde: EvolutionPDE
+    generators: tuple[Generator, ...]
+
+    @functools.cached_property
+    def brackets(self) -> tuple[tuple[int, int, Generator], ...]:
+        """(i, j, [g_i, g_j]) for i < j, derived on first use."""
+        gens = self.generators
+        return tuple((i, j, commutator(gens[i], gens[j]))
+                     for i in range(len(gens)) for j in range(i + 1, len(gens)))
+
+
+@functools.lru_cache(maxsize=128)
+def _symbolic(entry_id: str, sign_variant: str, choices: tuple[Expr, ...],
+              fhat: Expr | None) -> _SymbolicEntry:
+    """Parse an entry's templates once per (id, sign variant, function
+    choices, and the source for A_1)."""
+    spec = get_spec(entry_id)
+    signs = _signs(sign_variant)
+    psi_expr = ex.subs(parse_xtu(spec.psi), signs) if spec.psi is not None else None
+    if spec.fhat is None:
+        fhat_expr = fhat
+    else:
+        fhat_expr = parse_xtu(spec.fhat)
+        for slot, choice in zip(spec.functions, choices):
+            _check_function_choice(slot, choice)
+            arg = psi_expr if slot.argument == "psi" else ex.sym("x")
+            applied = ex.substitute(choice, "s" if slot.argument == "psi" else "x", arg)
+            fhat_expr = ex.substitute(fhat_expr, slot.name, applied)
+        fhat_expr = ex.subs(fhat_expr, signs)
+        if psi_expr is not None:
+            fhat_expr = ex.substitute(fhat_expr, "psi", psi_expr)
+
+    gens = tuple(Generator.parse(x1, x2, et).subs(signs) for (x1, x2, et) in spec.generators)
+    for g in gens:
+        leftover = g.free_parameters() - set(spec.params)
+        if leftover:
+            raise RuntimeError(f"{entry_id}: unbound generator symbols {sorted(leftover)}")
+    leftover = ex.free_symbols(fhat_expr) - {"x", "u", *spec.params}
+    if leftover:
+        raise RuntimeError(f"{entry_id}: unbound source symbols {sorted(leftover)}")
+    return _SymbolicEntry(fhat_expr, psi_expr, EvolutionPDE(ex.sym("u_xx") + fhat_expr), gens)
+
+
+def _resolve(
+    entry_id: str,
+    params: Mapping[str, float] | None,
+    functions: Mapping[str, str | Expr] | None,
+    sign_variant: str,
+    fhat: str | Expr | None,
+) -> tuple[EntrySpec, dict[str, float], str, _SymbolicEntry]:
+    """Validate a request: the spec, the parameter values, the sign variant
+    and the symbolic entry.  Inadmissible parameters raise on every call."""
     spec = get_spec(entry_id)
     pvals = dict(spec.defaults)
     if params:
@@ -739,10 +839,7 @@ def instantiate(
     else:
         sign_variant = "none"
 
-    sub: dict[str, Expr] = {k: ex.num(v) for k, v in pvals.items()}
-    sub.update(_signs(sign_variant))
-
-    fchoices: dict[str, Expr] = {}
+    choices = []
     for slot in spec.functions:
         raw = None
         if functions and slot.name in functions:
@@ -751,53 +848,46 @@ def instantiate(
             raw = spec.default_functions[slot.name]
         if raw is None:
             raise ValueError(f"{entry_id}: required function {slot.name} not supplied")
-        choice = ex.parse(raw) if isinstance(raw, str) else raw
-        _check_function_choice(slot, choice)
-        fchoices[slot.name] = choice
-
-    psi_expr = None
-    if spec.psi is not None:
-        psi_expr = ex.subs(parse_xtu(spec.psi), sub)
+        choices.append(ex.parse(raw) if isinstance(raw, str) else raw)
 
     if spec.fhat is None:
         src = fhat if fhat is not None else "phi^2"
-        fhat_expr = parse_xtu(src) if isinstance(src, str) else ex.rename(src, {"phi": "u", "tau": "t"})
-    else:
-        if fhat is not None:
-            raise ValueError(f"{entry_id}: fhat is fixed by the catalog")
-        fhat_expr = parse_xtu(spec.fhat)
-        for slot in spec.functions:
-            arg = psi_expr if slot.argument == "psi" else ex.sym("x")
-            applied = ex.substitute(fchoices[slot.name], "s" if slot.argument == "psi" else "x", arg)
-            fhat_expr = ex.substitute(fhat_expr, slot.name, applied)
-        fhat_expr = ex.subs(fhat_expr, sub)
-        if psi_expr is not None:
-            fhat_expr = ex.substitute(fhat_expr, "psi", psi_expr)
+        fhat = parse_xtu(src) if isinstance(src, str) else ex.rename(src, {"phi": "u", "tau": "t"})
+    elif fhat is not None:
+        raise ValueError(f"{entry_id}: fhat is fixed by the catalog")
+    return spec, pvals, sign_variant, _symbolic(entry_id, sign_variant, tuple(choices), fhat)
 
-    gens = []
-    for (x1, x2, et) in spec.generators:
-        g = Generator.parse(x1, x2, et).subs(sub)
-        leftover = g.free_parameters()
-        if leftover:
-            raise RuntimeError(f"{entry_id}: unbound generator symbols {sorted(leftover)}")
-        gens.append(g)
 
-    leftover = ex.free_symbols(fhat_expr) - {"x", "u"}
-    if leftover:
-        raise RuntimeError(f"{entry_id}: unbound source symbols {sorted(leftover)}")
+def _box(spec: EntrySpec) -> dict[str, tuple[float, float]]:
+    return {**_DEF_BOX, **spec.box}
 
-    box = dict(_DEF_BOX)
-    box.update(spec.box)
+
+def instantiate(
+    entry_id: str,
+    params: Mapping[str, float] | None = None,
+    functions: Mapping[str, str | Expr] | None = None,
+    sign_variant: str = "plus",
+    fhat: str | Expr | None = None,
+) -> CatalogEntry:
+    """Build a concrete catalog entry.
+
+    ``functions`` maps slot names (F_psi, F_x) to expressions in ``s``
+    (functions of psi) or ``x``.  For A_1 an explicit ``fhat`` must be given
+    (or the default phi^2 is used).  Inadmissible parameters raise
+    InadmissibleParamsError naming the violated predicate.
+    """
+    spec, pvals, sign_variant, sym = _resolve(entry_id, params, functions, sign_variant, fhat)
+    sub = {k: ex.num(v) for k, v in pvals.items()}
     return CatalogEntry(
         id=entry_id,
         spec=spec,
         params=pvals,
         sign_variant=sign_variant,
-        fhat=fhat_expr,
-        psi=psi_expr,
-        generators=tuple(gens),
+        fhat=ex.subs(sym.fhat, sub),
+        psi=ex.subs(sym.psi, sub) if sym.psi is not None else None,
+        generators=tuple(g.subs(sub) for g in sym.generators),
         flags=spec.flags,
-        box=box,
+        box=_box(spec),
     )
 
 
@@ -830,18 +920,18 @@ def verify_entry(
 ) -> EntryReport:
     """Check every generator of a concrete entry against the on-manifold
     symmetry condition at sampled jet points."""
-    entry = instantiate(entry_id, params, functions, sign_variant, fhat)
-    pde = entry.pde()
+    spec, pvals, sign_variant, sym = _resolve(entry_id, params, functions, sign_variant, fhat)
     reports = [
-        check_symmetry(pde, g, n=n, seed=seed + i, box=entry.box, tolerance=tolerance)
-        for i, g in enumerate(entry.generators)
+        check_symmetry(sym.pde, g, n=n, seed=seed + i, box=_box(spec), params=pvals,
+                       tolerance=tolerance)
+        for i, g in enumerate(sym.generators)
     ]
     return EntryReport(
         id=entry_id,
-        sign_variant=entry.sign_variant,
-        params=entry.params,
+        sign_variant=sign_variant,
+        params=pvals,
         generator_reports=reports,
-        flags=entry.flags,
+        flags=spec.flags,
     )
 
 
@@ -856,17 +946,12 @@ def verify_commutators(
     tolerance: float = 1e-6,
 ) -> list[tuple[int, int, SymmetryReport]]:
     """Closure sanity: brackets of basis generators are again symmetries."""
-    entry = instantiate(entry_id, params, functions, sign_variant, fhat)
-    pde = entry.pde()
-    out = []
-    gens = entry.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = commutator(gens[i], gens[j])
-            rep = check_symmetry(pde, br, n=n, seed=seed + 13 * i + j,
-                                 box=entry.box, tolerance=tolerance)
-            out.append((i, j, rep))
-    return out
+    spec, pvals, _, sym = _resolve(entry_id, params, functions, sign_variant, fhat)
+    return [
+        (i, j, check_symmetry(sym.pde, br, n=n, seed=seed + 13 * i + j, box=_box(spec),
+                              params=pvals, tolerance=tolerance))
+        for (i, j, br) in sym.brackets
+    ]
 
 
 def match_fhat(
@@ -911,11 +996,8 @@ def match_fhat(
         for variant in spec.variant_names():
             # The entry's parameters stay symbolic, so all generators are
             # compiled once and each draw is one evaluation over all points.
-            sub = _signs(variant)
-            groups = [
-                symmetry_condition_terms(pde, Generator.parse(x1, x2, et).subs(sub))
-                for (x1, x2, et) in spec.generators
-            ]
+            groups = [symmetry_condition_terms(pde, g)
+                      for g in _symbolic(spec.id, variant, (), None).generators]
 
             def worst_residual(values):
                 pvals = {k: float(v) for k, v in zip(spec.params, values)}

@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -100,11 +101,22 @@ def _emit(obj: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
+# The process umask, read once: os.umask reads it only by setting it.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    """Write through a temp file of this call's own in the target directory,
+    so concurrent writers of one path never share it; the last rename wins."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        os.fchmod(fd, 0o666 & ~_UMASK)  # the mode open() would give
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

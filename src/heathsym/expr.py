@@ -359,19 +359,27 @@ def scaled_residual(terms: Sequence, points: Mapping[str, object]) -> tuple:
     grouped = not isinstance(terms[0], Expr)
     groups = [tuple(g) for g in terms] if grouped else [tuple(terms)]
     values, _ = _compiled(tuple(itertools.chain(*groups)), tuple(points))(*points.values())
-    res = np.empty((len(groups),) + values[0].shape)
+    res, bad = scale_residuals(values, [len(g) for g in groups])
+    return (res, bad) if grouped else (res[0], bad[0])
+
+
+def scale_residuals(values: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple:
+    """The arithmetic of `scaled_residual` on values already computed:
+    ``values`` holds consecutive groups of ``sizes`` summands, and each group
+    gives one row |sum| / max(1, max |summand|), with its mask of non-finite
+    residuals."""
+    res = np.empty((len(sizes),) + values[0].shape)
     start = 0
     with np.errstate(all="ignore"):
-        for row, g in zip(res, groups):
-            stop = start + len(g)
+        for row, size in zip(res, sizes):
+            stop = start + size
             total = values[start]
             for v in values[start + 1:stop]:
                 total = total + v
             scale = np.abs(values[start:stop]).max(axis=0)
             np.divide(np.abs(total), np.maximum(scale, 1.0), out=row)
             start = stop
-    bad = ~np.isfinite(res)
-    return (res, bad) if grouped else (res[0], bad[0])
+    return res, ~np.isfinite(res)
 
 
 # -- differentiation -------------------------------------------------------

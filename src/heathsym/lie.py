@@ -8,9 +8,10 @@ prefer tau/phi spelling can parse through `parse_xtu`.
 
 from __future__ import annotations
 
+import functools
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,6 +162,22 @@ class UnsamplableError(ValueError):
     pass
 
 
+# The jet coordinates left free on the solution manifold, in argument order.
+_CONDITION_ARGS = tuple(s for s in JET_SYMBOLS if s not in ("u_t", "u_xt"))
+
+
+@functools.lru_cache(maxsize=256)
+def _condition(pde: EvolutionPDE, g: Generator) -> tuple[Callable[..., tuple], tuple[str, ...], int]:
+    """The symmetry condition of ``g`` for ``pde``, derived and compiled once:
+    the compiled function, its argument names (the free jet coordinates, then
+    the parameters in sorted order) and the number of summands.  The summands
+    themselves are not kept."""
+    terms = symmetry_condition_terms(pde, g)
+    params = set().union(*[ex.free_symbols(t) for t in terms]) - set(_CONDITION_ARGS)
+    argnames = _CONDITION_ARGS + tuple(sorted(params))
+    return ex.compile_exprs(terms, argnames), argnames, len(terms)
+
+
 def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
                    box: Mapping[str, tuple[float, float]] | None = None,
                    params: Mapping[str, float] | None = None,
@@ -170,22 +187,21 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
     The residual is scaled by the magnitude of the largest summand of the
     symmetry condition at each point, so entries with huge exponential
     factors do not trip the tolerance spuriously.  Deterministic given seed.
+    The condition is derived and compiled once per (pde, g), with any
+    parameters left as arguments bound from ``params``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     full_box = dict(DEFAULT_BOX)
     if box:
         full_box.update(box)
-    terms = symmetry_condition_terms(pde, g)
-    argnames = list(JET_SYMBOLS)
-    argnames.remove("u_t")
-    argnames.remove("u_xt")
-    extra = sorted(set().union(*[ex.free_symbols(t) for t in terms]) - set(argnames))
+    fn, argnames, n_terms = _condition(pde, g)
+    extra = argnames[len(_CONDITION_ARGS):]
     if extra and not params:
-        raise ValueError(f"unbound parameters {extra}; pass params=")
-    points = {name: float(params[name]) for name in extra}
-    lows = [full_box[s][0] for s in argnames]
-    highs = [full_box[s][1] for s in argnames]
+        raise ValueError(f"unbound parameters {list(extra)}; pass params=")
+    fixed = [float(params[name]) for name in extra]
+    lows = [full_box[s][0] for s in _CONDITION_ARGS]
+    highs = [full_box[s][1] for s in _CONDITION_ARGS]
 
     # Blocks of exactly the points still needed draw the same stream as one
     # point at a time, so the sample is the first n defined points drawn.
@@ -199,9 +215,9 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
                 "could not sample enough jet points without domain violations"
             )
         attempts += m
-        block = rng.uniform(lows, highs, size=(m, len(argnames)))
-        points.update(zip(argnames, block.T.copy()))
-        res, mask = ex.scaled_residual(terms, points)
+        block = rng.uniform(lows, highs, size=(m, len(_CONDITION_ARGS)))
+        values, _ = fn(*block.T.copy(), *fixed)
+        (res,), (mask,) = ex.scale_residuals(values, (n_terms,))
         kept.append(res[~mask])
         found += m - int(mask.sum())
         skipped += int(mask.sum())

@@ -110,7 +110,7 @@ class FieldSnapshot:
             warnings.warn(
                 "field has nodes with phi <= 0; the inverse map needs ln(phi)",
                 PositivityWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
         arr.setflags(write=False)
         object.__setattr__(self, "phi", arr)

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from heathsym import catalog as cat
 from heathsym import expr as ex
+from heathsym import lie
 from heathsym.catalog import (
+    ENTRIES,
+    LITERAL_READINGS,
     InadmissibleParamsError,
     _constraint_text_one,
     UnknownEntryError,
@@ -151,3 +155,96 @@ def test_export_json_round_trips():
     ids = {e["id"] for e in data}
     assert "A_1" in ids and "A_4_4" in ids
     assert all("generators" in e and "constraints" in e for e in data)
+
+
+def _variants(spec):
+    return spec.variant_names() if spec.sign_variants else ("plus",)
+
+
+def test_cached_verify_matches_instantiated_check():
+    # the symbolic build with the draw as arguments gives the verdicts of a
+    # derivation from the instantiated entry, at the same jet points
+    rng = np.random.default_rng(4)
+    for spec in ENTRIES:
+        for var in _variants(spec):
+            for params in ({}, spec.sample_params(rng) if spec.params else {}):
+                rep = verify_entry(spec.id, params=params or None, sign_variant=var, n=30, seed=9)
+                entry = instantiate(spec.id, params=params or None, sign_variant=var)
+                pde = entry.pde()
+                for i, (g, got) in enumerate(zip(entry.generators, rep.generator_reports)):
+                    want = lie.check_symmetry(pde, g, n=30, seed=9 + i, box=entry.box)
+                    assert got.passed == want.passed, (spec.id, var, params, i)
+                    assert abs(got.max_abs - want.max_abs) <= 1e-12, (spec.id, var, params, i)
+                    assert got.skipped_domain_errors == want.skipped_domain_errors
+
+
+def test_condition_derived_once_per_generator(monkeypatch):
+    calls = []
+    derive = lie.symmetry_condition_terms
+
+    def counting(pde, g):
+        calls.append(g)
+        return derive(pde, g)
+
+    lie._condition.cache_clear()
+    monkeypatch.setattr(lie, "symmetry_condition_terms", counting)
+    first = verify_entry("A_4_4", params={"A": 1.0, "B": 2.0}, n=20, seed=0)
+    second = verify_entry("A_4_4", params={"A": 0.7, "B": 1.3}, n=20, seed=0)
+    assert first.passed and second.passed
+    assert len(calls) == len(get_spec("A_4_4").generators)
+
+
+def test_function_choices_compile_separately():
+    forms = []
+    for choice in ("s^3", "s^3 + sin(s)"):
+        rep = verify_entry("A_2_2_1", functions={"F_psi": choice}, n=20, seed=2)
+        assert rep.passed, (choice, rep.max_abs)
+        sym = cat._resolve("A_2_2_1", None, {"F_psi": choice}, "plus", None)[3]
+        forms.append(lie._condition(sym.pde, sym.generators[1])[0])
+    assert forms[0] is not forms[1]
+
+
+# (literal id, variant where the correction matters, generators that fail
+# there, the worst of them); verify_entry at n = 100, seed 0, defaults
+NEGATIVE_CONTROLS = [
+    ("A_3_5_2:literal", "minus", [1, 2], 2),
+    ("A_3_5_4:literal", "plus", [1, 2], 2),
+    ("A_3_5_8:literal", "minus", [1, 2], 2),
+    ("A_3_5_10:literal", "plus", [2], 2),
+    ("A_4_3:literal", "minus", [3], 3),
+]
+
+
+@pytest.mark.parametrize("literal_id, variant, failing, worst", NEGATIVE_CONTROLS)
+def test_literal_reading_fails(literal_id, variant, failing, worst):
+    corrected = literal_id.split(":")[0]
+    rep = verify_entry(literal_id, sign_variant=variant, n=100, seed=0)
+    assert not rep.passed
+    assert [i for i, r in enumerate(rep.generator_reports) if not r.passed] == failing
+    assert rep.generator_reports[worst].max_abs >= 0.1
+    assert rep.generator_reports[worst].max_abs == rep.max_abs
+    for var in _variants(get_spec(literal_id)):
+        assert verify_entry(corrected, sign_variant=var, n=100, seed=0).passed, (corrected, var)
+        if var != variant and get_spec(literal_id).sign_variants:
+            # the literal reading differs only where the correction matters
+            assert verify_entry(literal_id, sign_variant=var, n=100, seed=0).passed
+
+
+def test_literal_readings_stay_out_of_the_catalog():
+    ids = {spec.id for spec in LITERAL_READINGS}
+    assert {e["id"] for e in list_entries()}.isdisjoint(ids)
+    assert {e["id"] for e in json.loads(export_json())}.isdisjoint(ids)
+    assert all(get_spec(i).id == i for i in ids)
+
+
+def test_literal_and_corrected_share_no_compiled_form():
+    # a compiled form is shared only where the condition is the same
+    # expression, so never for a generator whose check the literal reading fails
+    for literal_id, variant, failing, _ in NEGATIVE_CONTROLS:
+        lit = cat._resolve(literal_id, None, None, variant, None)[3]
+        cor = cat._resolve(literal_id.split(":")[0], None, None, variant, None)[3]
+        for i, (g_lit, g_cor) in enumerate(zip(lit.generators, cor.generators)):
+            same = lit.pde == cor.pde and g_lit == g_cor
+            shared = lie._condition(lit.pde, g_lit)[0] is lie._condition(cor.pde, g_cor)[0]
+            assert shared == same, (literal_id, i)
+            assert not (shared and i in failing), (literal_id, i)

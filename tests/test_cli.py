@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import sys
+import threading
 
 import pytest
 
 from heathsym.catalog import verify_entry
-from heathsym.cli import main
+from heathsym.cli import _atomic_write, main
 
 PI = math.pi
 SIN_MODEL = json.dumps(
@@ -137,6 +139,37 @@ def test_solve_summary_and_csv(tmp_path, capsys):
         header = fh.readline().strip()
     assert header == "tau,x,phi"
     assert not os.path.exists(out_csv + ".partial")
+
+
+def test_atomic_write_concurrent_writers(tmp_path):
+    # concurrent writers of one path: none fails, the file ends up as one
+    # whole text, and no temp file is left behind
+    path = str(tmp_path / "out.json")
+    texts = [c * 1_000_000 + "\n" for c in "abcd"]
+    errors = []
+
+    def write(text):
+        try:
+            for _ in range(15):
+                _atomic_write(path, text)
+        except Exception as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() in texts
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def test_solve_stability_guard_exit_2(capsys):

@@ -42,6 +42,14 @@ def test_snapshot_finite_and_positivity():
         snap.phi[0] = 9.0  # frozen
 
 
+def test_positivity_warning_names_the_caller():
+    # the warning points at the line that built the snapshot, not at the
+    # generated dataclass __init__
+    with pytest.warns(sv.PositivityWarning) as record:
+        sv.FieldSnapshot(0.0, np.array([1.0, -0.5]))
+    assert record[0].filename == __file__
+
+
 def test_stability_guard():
     g = sv.GridSpec(0.0, 1.0, 128, 0.0, 0.1, 100)
     with pytest.raises(ValueError) as ei:
