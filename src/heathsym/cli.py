@@ -430,11 +430,13 @@ def cmd_solve(args) -> int:
         "grid": {"nx": grid.nx, "ntau": grid.ntau, "h": grid.h, "k": grid.k},
         "scheme": scheme.scheme,
         "snapshots": len(snaps),
+        "min_phi": min(float(np.min(s.phi)) for s in snaps),
+        "nonpositive_nodes": sum(int(np.count_nonzero(s.phi <= 0.0)) for s in snaps),
     }
     if exact is not None:
-        norms = sv.error_norms(snaps, exact, grid, mask=mask)
-        summary["final_Linf"] = norms[-1]["Linf"]
-        summary["final_L2"] = norms[-1]["L2"]
+        (norm,) = sv.error_norms(snaps[-1:], exact, grid, mask=mask)
+        summary["final_Linf"] = norm["Linf"]
+        summary["final_L2"] = norm["L2"]
     if args.out:
         rows = sv.csv_rows(snaps, grid, stride=max(1, args.stride))
         text = "tau,x,phi\n" + "\n".join(

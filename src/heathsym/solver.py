@@ -10,11 +10,13 @@ step).  Boundary data is taken from closed-form reference solutions
 The moving-barrier variant masks nodes behind the barrier curve and imposes
 the barrier datum at the first interior node by linear interpolation between
 the datum on the curve and the neighbouring solution value; this boundary
-treatment is first-order accurate.
+treatment is first-order accurate.  Both variants run one march, which warns
+PositivityWarning once per run when any node of any level has phi <= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -97,7 +99,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class FieldSnapshot:
     """The field at one time level, on all grid nodes.  Immutable; the
-    vector is copied and frozen on construction."""
+    vector is checked finite, copied and frozen on construction."""
 
     tau: float
     phi: np.ndarray
@@ -106,12 +108,6 @@ class FieldSnapshot:
         arr = np.array(self.phi, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("snapshot contains non-finite values")
-        if np.min(arr) <= 0.0:
-            warnings.warn(
-                "field has nodes with phi <= 0; the inverse map needs ln(phi)",
-                PositivityWarning,
-                stacklevel=3,  # past the dataclass __init__, to the caller
-            )
         arr.setflags(write=False)
         object.__setattr__(self, "phi", arr)
 
@@ -180,6 +176,67 @@ def _cn_matrix(n: int, lam: float) -> np.ndarray:
     return ab
 
 
+def _march(model, grid, scheme, phi, edge) -> list[FieldSnapshot]:
+    """March ``phi``, the field at tau0 on all nodes, to tau1 and return a
+    snapshot per time level (initial level included).
+
+    ``edge(tau)`` gives the boundary of the level at ``tau`` as
+    ``(j, fill, left, right)``: node j is a Dirichlet node set to
+    ``left(phi[j + 1])``, the nodes left of it are set to ``fill``, the last
+    node to ``right``, and nodes j + 1 .. nx are the unknowns.  Warns
+    PositivityWarning once when any node of any level has phi <= 0.
+    """
+    scheme.validate(grid)
+    xs, taus = grid.nodes(), grid.taus()
+    h, k = grid.h, grid.k
+    lam = k / (h * h)
+    fhat = _field_fn(model.fhat, ("x", "u"))
+    cn: dict[int, np.ndarray] = {}  # banded CN matrix per unknown count
+    src_prev: np.ndarray | None = None
+    snaps = []
+    for m, tau in enumerate(taus):
+        j, fill, left, right = edge(tau)
+        lo = j + 1  # first unknown
+        if m:
+            if j < j_prev:
+                # nodes uncovered by a receding barrier take the old Dirichlet
+                # value; the fill is first-order consistent with the boundary
+                phi = phi.copy()
+                phi[j : j_prev + 1] = phi[j_prev]
+            src = fhat(xs[lo:-1], phi[lo:-1])
+            diff = phi[lo - 1 : -2] - 2 * phi[lo:-1] + phi[lo + 1 :]
+            if scheme.scheme == EXPLICIT:
+                interior = phi[lo:-1] + k * (diff / (h * h) + src)
+            else:
+                # Adams-Bashforth 2 source once the unknowns match the previous
+                # level's (Euler before) keeps the split second-order in time.
+                ab2 = src_prev is not None and src_prev.size == src.size
+                s_eff = 1.5 * src - 0.5 * src_prev if ab2 else src
+                rhs = phi[lo:-1] + (lam / 2.0) * diff + k * s_eff
+                rhs[0] += (lam / 2.0) * left(phi[lo])
+                rhs[-1] += (lam / 2.0) * right
+                if src.size not in cn:
+                    cn[src.size] = _cn_matrix(src.size, lam)
+                interior = solve_banded((1, 1), cn[src.size], rhs)
+            src_prev = src
+            phi = np.empty_like(phi)
+            phi[lo:-1] = interior
+        phi[:j] = fill
+        phi[j] = left(phi[lo])
+        phi[-1] = right
+        j_prev = j
+        _check_finite(phi, tau)
+        snaps.append(FieldSnapshot(tau, phi))
+    low = min(float(np.min(s.phi)) for s in snaps)
+    if low <= 0.0:
+        warnings.warn(
+            f"field reached min phi = {low:.6g} <= 0; the inverse map needs ln(phi)",
+            PositivityWarning,
+            stacklevel=3,  # past the solve front, to its caller
+        )
+    return snaps
+
+
 def solve(
     model: HeatSourceModel,
     init,
@@ -196,12 +253,7 @@ def solve(
     ``static-dirichlet`` either None (freeze the initial profile's end
     values) or a (left, right) pair of floats.
     """
-    scheme.validate(grid)
     xs = grid.nodes()
-    taus = grid.taus()
-    h, k = grid.h, grid.k
-    fhat = _field_fn(model.fhat, ("x", "u"))
-
     phi = np.array(_field_fn(init, ("x",))(xs), dtype=float)
 
     if scheme.boundary == BOUNDARY_EXACT:
@@ -217,51 +269,40 @@ def solve(
             frozen = (float(boundary[0]), float(boundary[1]))
         bc = lambda tau: frozen
 
-    phi[0], phi[-1] = bc(taus[0])
-    _check_finite(phi, taus[0])
-    snaps = [FieldSnapshot(taus[0], phi)]
+    def edge(tau):
+        bl, br = bc(tau)
+        return 0, bl, lambda _: bl, br
 
-    lam = k / (h * h)
-    ab = _cn_matrix(grid.nx, lam) if scheme.scheme == CN_IMEX else None
-    src_prev: np.ndarray | None = None
-
-    for m in range(grid.ntau):
-        tau_new = taus[m + 1]
-        src = fhat(xs[1:-1], phi[1:-1])
-        bl_new, br_new = bc(tau_new)
-        if scheme.scheme == EXPLICIT:
-            lap = (phi[:-2] - 2 * phi[1:-1] + phi[2:]) / (h * h)
-            interior = phi[1:-1] + k * (lap + src)
-        else:
-            # Adams-Bashforth 2 source after the first (Euler) step keeps the
-            # split second-order in time.
-            s_eff = src if src_prev is None else 1.5 * src - 0.5 * src_prev
-            rhs = (
-                phi[1:-1]
-                + (lam / 2.0) * (phi[:-2] - 2 * phi[1:-1] + phi[2:])
-                + k * s_eff
-            )
-            rhs[0] += (lam / 2.0) * bl_new
-            rhs[-1] += (lam / 2.0) * br_new
-            interior = solve_banded((1, 1), ab, rhs)
-        src_prev = src
-        phi = np.empty_like(phi)
-        phi[1:-1] = interior
-        phi[0], phi[-1] = bl_new, br_new
-        _check_finite(phi, tau_new)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PositivityWarning)
-            snaps.append(FieldSnapshot(tau_new, phi))
-    return snaps
+    return _march(model, grid, scheme, phi, edge)
 
 
-def _barrier_datum(spec: BarrierSpec) -> Callable[[float], tuple[float, float]]:
-    """Per-tau (H, phi-on-barrier) with the original-picture datum mapped to
-    the heat picture: phi = exp(-(a H + R)/b^2)."""
-    H, R = (ex.rename(e, {"tau": "t"}) for e in (spec.H, spec.R))
-    to_phi = CoordinateMap.heath_heat(spec.params["a"], spec.params["b"]).forward[2]
-    exprs = [H, ex.subs(to_phi, {"x": H, "u": R})]
-    return lambda tau: tuple(float(v) for v in ex.evaluate_many(exprs, {"t": tau}))
+@functools.lru_cache(maxsize=32)
+def _barrier_exprs(H: Expr, R: Expr, a: float, b: float) -> tuple[Expr, Expr]:
+    """(H, phi on the barrier) in t, with the original-picture datum R mapped
+    to the heat picture: phi = exp(-(a H + R)/b^2)."""
+    H, R = (ex.rename(e, {"tau": "t"}) for e in (H, R))
+    to_phi = CoordinateMap.heath_heat(a, b).forward[2]
+    return H, ex.subs(to_phi, {"x": H, "u": R})
+
+
+def _barrier_node(spec: BarrierSpec, grid: GridSpec, tau: float) -> tuple[int, float, float]:
+    """(j, H, phi on the barrier) at ``tau``: node j is the first node right
+    of the barrier x = H(tau), so the unknowns are nodes j + 1 .. nx.  Raises
+    BarrierExitsGridError when H leaves (x_lo, x_hi) or leaves no unknown."""
+    exprs = _barrier_exprs(spec.H, spec.R, spec.params["a"], spec.params["b"])
+    hv, dv = (float(v) for v in ex.evaluate_many(exprs, {"t": tau}))
+    if not (grid.x_lo < hv < grid.x_hi):
+        raise BarrierExitsGridError(
+            f"barrier exits grid at tau = {tau:.6g}: H = {hv:.6g} "
+            f"outside ({grid.x_lo:.6g}, {grid.x_hi:.6g})"
+        )
+    j = int(np.searchsorted(grid.nodes(), hv, side="right"))
+    if j >= grid.nx:
+        raise BarrierExitsGridError(
+            f"barrier exits grid at tau = {tau:.6g}: too few nodes right of "
+            f"H = {hv:.6g}"
+        )
+    return j, hv, dv
 
 
 def solve_barrier(
@@ -281,97 +322,25 @@ def solve_barrier(
     callable in (x, tau)).  Raises BarrierExitsGridError when H leaves
     (x_lo, x_hi).
     """
-    scheme.validate(grid)
     xs = grid.nodes()
-    taus = grid.taus()
-    h, k = grid.h, grid.k
-    fhat = _field_fn(model.fhat, ("x", "u"))
     ref = _field_fn(reference, ("x", "t"))
-    datum = _barrier_datum(spec)
 
-    def barrier_at(tau: float, step: int) -> tuple[int, float, float]:
-        hv, dv = datum(tau)
-        if not (grid.x_lo < hv < grid.x_hi):
-            raise BarrierExitsGridError(
-                f"barrier exits grid at step {step}: H({tau:.6g}) = {hv:.6g} "
-                f"outside ({grid.x_lo:.6g}, {grid.x_hi:.6g})"
-            )
-        j = int(np.searchsorted(xs, hv, side="right"))
-        if j >= grid.nx:
-            raise BarrierExitsGridError(
-                f"barrier exits grid at step {step}: too few nodes right of "
-                f"H({tau:.6g}) = {hv:.6g}"
-            )
-        return j, hv, dv
-
-    def interp_left(j: int, hv: float, dv: float, right_val: float) -> float:
-        # value at node j on the line through (H, datum) and (x_{j+1}, phi_{j+1})
+    def edge(tau):
+        j, hv, dv = _barrier_node(spec, grid, tau)
         x0, x1 = xs[j], xs[j + 1]
-        return (dv * (x1 - x0) + right_val * (x0 - hv)) / (x1 - hv)
+        # value at node j on the line through (H, datum) and (x_{j+1}, phi_{j+1})
+        left = lambda right_val: (dv * (x1 - x0) + right_val * (x0 - hv)) / (x1 - hv)
+        return j, dv, left, float(ref(xs[-1], tau))
 
-    phi = np.array(ref(xs, taus[0]), dtype=float)
-    j0, hv0, dv0 = barrier_at(taus[0], 0)
-    phi[: j0 + 1] = dv0
-    phi[j0] = interp_left(j0, hv0, dv0, phi[j0 + 1])
-    _check_finite(phi, taus[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PositivityWarning)
-        snaps = [FieldSnapshot(taus[0], phi)]
-    src_prev: np.ndarray | None = None
-    j_prev = j0
-
-    for m in range(grid.ntau):
-        tau_new = taus[m + 1]
-        j, hv, dv = barrier_at(tau_new, m + 1)
-        # newly uncovered nodes (barrier receding) take the old datum value;
-        # the fill is first-order consistent with the boundary treatment
-        work = phi.copy()
-        if j < j_prev:
-            work[j : j_prev + 1] = phi[j_prev]
-        lo = j + 1  # first unknown; node j is the interpolated Dirichlet node
-        n_act = grid.nx + 1 - lo  # unknowns lo .. nx
-        src = fhat(xs[lo:-1], work[lo:-1])
-        br_new = float(ref(xs[-1], tau_new))
-        left_new = interp_left(j, hv, dv, work[lo])
-        if scheme.scheme == EXPLICIT:
-            lap = (work[lo - 1 : -2] - 2 * work[lo:-1] + work[lo + 1 :]) / (h * h)
-            interior = work[lo:-1] + k * (lap + src)
-        else:
-            lam = k / (h * h)
-            if src_prev is not None and src_prev.size == src.size:
-                s_eff = 1.5 * src - 0.5 * src_prev
-            else:
-                s_eff = src
-            rhs = (
-                work[lo:-1]
-                + (lam / 2.0)
-                * (work[lo - 1 : -2] - 2 * work[lo:-1] + work[lo + 1 :])
-                + k * s_eff
-            )
-            rhs[0] += (lam / 2.0) * left_new
-            rhs[-1] += (lam / 2.0) * br_new
-            interior = solve_banded((1, 1), _cn_matrix(n_act, lam), rhs)
-        src_prev = src
-        j_prev = j
-        phi = np.empty_like(work)
-        phi[: j + 1] = dv
-        phi[lo:-1] = interior
-        phi[-1] = br_new
-        phi[j] = interp_left(j, hv, dv, phi[lo])
-        _check_finite(phi, tau_new)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PositivityWarning)
-            snaps.append(FieldSnapshot(tau_new, phi))
-    return snaps
+    return _march(model, grid, scheme, np.array(ref(xs, grid.tau0), dtype=float), edge)
 
 
 def barrier_mask(spec: BarrierSpec, grid: GridSpec, tau: float) -> np.ndarray:
     """Boolean mask of nodes strictly inside the moving domain at ``tau``,
-    excluding the interpolated first interior node and the right boundary."""
-    xs = grid.nodes()
-    hv = float(_field_fn(spec.H, ("t",))(tau))
-    j = int(np.searchsorted(xs, hv, side="right"))
-    mask = np.zeros(xs.size, dtype=bool)
+    excluding the interpolated first interior node and the right boundary.
+    Raises BarrierExitsGridError where solve_barrier would."""
+    j, _, _ = _barrier_node(spec, grid, tau)
+    mask = np.zeros(grid.nx + 2, dtype=bool)
     mask[j + 1 : -1] = True
     return mask
 
@@ -427,15 +396,15 @@ class ConvergenceCase:
         if self.barrier is None:
             snaps = solve(self.model, _init_from(self.exact, g), g, self.scheme,
                           boundary=self.exact)
-            norms = error_norms(snaps, self.exact, g)
+            norms = error_norms(snaps[-1:], self.exact, g)
         else:
             snaps = solve_barrier(self.model, self.barrier, g, self.scheme,
                                   self.exact)
             spec = self.barrier
             norms = error_norms(
-                snaps, self.exact, g, mask=lambda tau: barrier_mask(spec, g, tau)
+                snaps[-1:], self.exact, g, mask=lambda tau: barrier_mask(spec, g, tau)
             )
-        return norms[-1]["Linf"]
+        return norms[0]["Linf"]
 
 
 def _init_from(exact, grid: GridSpec):

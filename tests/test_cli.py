@@ -137,8 +137,12 @@ def test_solve_summary_and_csv(tmp_path, capsys):
     assert data["final_Linf"] < 1e-3
     with open(out_csv) as fh:
         header = fh.readline().strip()
+        phis = [float(line.split(",")[2]) for line in fh]
     assert header == "tau,x,phi"
     assert not os.path.exists(out_csv + ".partial")
+    # sin(pi x) is exactly 0 at x = 0 on each of the 51 levels
+    assert data["min_phi"] == min(phis) == 0.0
+    assert data["nonpositive_nodes"] == sum(p <= 0.0 for p in phis) == 51
 
 
 def test_atomic_write_concurrent_writers(tmp_path):

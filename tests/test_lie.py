@@ -8,6 +8,7 @@ from heathsym.lie import (
     DEFAULT_BOX,
     EvolutionPDE,
     Generator,
+    UnsamplableError,
     check_symmetry,
     classification_residual,
     commutator,
@@ -40,6 +41,14 @@ def test_non_symmetry_is_rejected():
     rep = check_symmetry(HEAT, bad, n=60, seed=2)
     assert not rep.passed
     assert rep.max_abs > 1e-3
+
+
+def test_condition_undefined_on_whole_box_is_unsamplable():
+    # ln(x - 10) is undefined for every x in the box; the phi-scaling keeps
+    # the source in the condition (a time translation would cancel it)
+    pde = EvolutionPDE(ex.parse("u_xx + ln(x - 10)*u"))
+    with pytest.raises(UnsamplableError, match="could not sample"):
+        check_symmetry(pde, Generator.parse("0", "0", "phi"), n=20)
 
 
 def test_source_breaks_scaling_symmetry():

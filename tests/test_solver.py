@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,18 +36,35 @@ def test_grid_invariants():
 def test_snapshot_finite_and_positivity():
     with pytest.raises(ValueError):
         sv.FieldSnapshot(0.0, np.array([1.0, float("nan")]))
-    with pytest.warns(sv.PositivityWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a snapshot validates; the march warns
         sv.FieldSnapshot(0.0, np.array([1.0, -0.5]))
     snap = sv.FieldSnapshot(0.0, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         snap.phi[0] = 9.0  # frozen
 
 
+def _sinking_run():
+    # positive at level 0; a constant sink drives the interior below zero
+    g = sv.GridSpec(0.0, 1.0, 16, 0.0, 0.1, 20)
+    scheme = sv.SchemeConfig(boundary=sv.BOUNDARY_STATIC)
+    return sv.solve(HeatSourceModel(ex.parse("-50 + 0*u")), lambda x: 1.0, g, scheme)
+
+
+def test_positivity_warned_once_per_run():
+    with pytest.warns(sv.PositivityWarning, match="min phi = ") as record:
+        snaps = _sinking_run()
+    assert float(snaps[0].phi.min()) > 0.0
+    low = min(float(s.phi.min()) for s in snaps)
+    assert low < 0.0
+    assert len(record) == 1
+    assert f"{low:.6g}" in str(record[0].message)
+
+
 def test_positivity_warning_names_the_caller():
-    # the warning points at the line that built the snapshot, not at the
-    # generated dataclass __init__
+    # the warning points at the line that called solve, not into the solver
     with pytest.warns(sv.PositivityWarning) as record:
-        sv.FieldSnapshot(0.0, np.array([1.0, -0.5]))
+        _sinking_run()
     assert record[0].filename == __file__
 
 
