@@ -11,7 +11,6 @@ machine zero.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -348,37 +347,32 @@ def evaluate_many(exprs: Iterable[Expr], points: Mapping[str, object]) -> tuple:
     return values
 
 
-def scaled_residual(terms: Sequence, points: Mapping[str, object]) -> tuple:
+def scaled_residual(terms: Sequence[Expr], points: Mapping[str, object]) -> tuple:
     """|sum of terms| / max(1, max |term|) at every point, and the mask of
     points where the residual is undefined (a term or the sum not finite).
-
-    ``terms`` is a sequence of Expr, or a sequence of such groups: all groups
-    are evaluated in one call and give one row of residuals each.  ``points``
-    maps each free symbol to an array or a scalar.
+    ``points`` maps each free symbol to an array or a scalar.
     """
-    grouped = not isinstance(terms[0], Expr)
-    groups = [tuple(g) for g in terms] if grouped else [tuple(terms)]
-    values, _ = _compiled(tuple(itertools.chain(*groups)), tuple(points))(*points.values())
-    res, bad = scale_residuals(values, [len(g) for g in groups])
-    return (res, bad) if grouped else (res[0], bad[0])
+    terms = tuple(terms)
+    values, _ = _compiled(terms, tuple(points))(*points.values())
+    (res,), (bad,) = scale_residuals(values, len(terms))
+    return res, bad
 
 
-def scale_residuals(values: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple:
+def scale_residuals(values: Sequence[np.ndarray], size: int, signed: bool = False,
+                    floor: float = 1.0) -> tuple:
     """The arithmetic of `scaled_residual` on values already computed:
-    ``values`` holds consecutive groups of ``sizes`` summands, and each group
-    gives one row |sum| / max(1, max |summand|), with its mask of non-finite
-    residuals."""
-    res = np.empty((len(sizes),) + values[0].shape)
-    start = 0
+    ``values`` holds consecutive groups of ``size`` summands, and each group
+    gives one row |sum| / max(floor, max |summand|), with its mask of
+    non-finite residuals.  With ``signed`` the rows keep the sign of the sum.
+    The summands of a group are added in order."""
+    groups = np.asarray(values)
+    groups = groups.reshape((-1, size) + groups.shape[1:])
     with np.errstate(all="ignore"):
-        for row, size in zip(res, sizes):
-            stop = start + size
-            total = values[start]
-            for v in values[start + 1:stop]:
-                total = total + v
-            scale = np.abs(values[start:stop]).max(axis=0)
-            np.divide(np.abs(total), np.maximum(scale, 1.0), out=row)
-            start = stop
+        total = groups[:, 0]
+        for j in range(1, size):
+            total = total + groups[:, j]
+        scale = np.abs(groups).max(axis=1)
+        res = (total if signed else np.abs(total)) / np.maximum(scale, floor)
     return res, ~np.isfinite(res)
 
 

@@ -119,20 +119,43 @@ def symmetry_condition_terms(pde: EvolutionPDE, g: Generator) -> list[Expr]:
     the rhs first and u_t by the rhs afterwards; the remaining free jet
     coordinates are x, t, u, u_x, u_xx, u_xxx.
     """
-    pro = prolong2(g)
     rhs = pde.rhs
+    partials = [ex.diff(rhs, v) for v in ("x", "t", "u", "u_x", "u_xx")]
+    return _on_manifold(g, rhs, partials, _total_x(rhs))  # _total_x(rhs) has no u_t, u_xt
+
+
+# The source of the class u_t = u_xx + F(x, t, u) and its partials, as the
+# symbols that `class_condition_terms` leaves free.
+CLASS_SOURCE = ("F", "F_x", "F_t", "F_u")
+
+
+def class_condition_terms(g: Generator) -> list[Expr]:
+    """The summands of `symmetry_condition_terms` for every equation
+    u_t = u_xx + F(x, t, u) at once: F, F_x, F_t and F_u stay symbols, and
+    their values at a jet point give the summands of that point for the
+    given source."""
+    F, F_x, F_t, F_u = map(ex.sym, CLASS_SOURCE)
+    partials = [F_x, F_t, F_u, ex.num(0), ex.num(1)]
+    return _on_manifold(g, ex.sym("u_xx") + F, partials,
+                        F_x + ex.sym("u_x") * F_u + ex.sym("u_xxx"))
+
+
+def _on_manifold(g: Generator, rhs: Expr, partials: Sequence[Expr], u_xt: Expr) -> list[Expr]:
+    """The six summands, from the rhs's partials in x, t, u, u_x and u_xx
+    and the total x-derivative of the rhs, which replaces u_xt."""
+    pro = prolong2(g)
+    d_x, d_t, d_u, d_ux, d_uxx = partials
     terms = [
-        g.xi1 * ex.diff(rhs, "x"),
-        g.xi2 * ex.diff(rhs, "t"),
-        g.eta * ex.diff(rhs, "u"),
-        pro["eta_x"] * ex.diff(rhs, "u_x"),
-        pro["eta_xx"] * ex.diff(rhs, "u_xx"),
+        g.xi1 * d_x,
+        g.xi2 * d_t,
+        g.eta * d_u,
+        pro["eta_x"] * d_ux,
+        pro["eta_xx"] * d_uxx,
         ex.mul(-1, pro["eta_t"]),
     ]
-    u_xt_expr = _total_x(rhs)  # contains no u_t or u_xt itself
     out = []
     for term in terms:
-        term = ex.substitute(term, "u_xt", u_xt_expr)
+        term = ex.substitute(term, "u_xt", u_xt)
         term = ex.substitute(term, "u_t", rhs)
         out.append(term)
     return out
@@ -163,7 +186,7 @@ class UnsamplableError(ValueError):
 
 
 # The jet coordinates left free on the solution manifold, in argument order.
-_CONDITION_ARGS = tuple(s for s in JET_SYMBOLS if s not in ("u_t", "u_xt"))
+CONDITION_ARGS = tuple(s for s in JET_SYMBOLS if s not in ("u_t", "u_xt"))
 
 
 @functools.lru_cache(maxsize=256)
@@ -173,8 +196,8 @@ def _condition(pde: EvolutionPDE, g: Generator) -> tuple[Callable[..., tuple], t
     the parameters in sorted order) and the number of summands.  The summands
     themselves are not kept."""
     terms = symmetry_condition_terms(pde, g)
-    params = set().union(*[ex.free_symbols(t) for t in terms]) - set(_CONDITION_ARGS)
-    argnames = _CONDITION_ARGS + tuple(sorted(params))
+    params = set().union(*[ex.free_symbols(t) for t in terms]) - set(CONDITION_ARGS)
+    argnames = CONDITION_ARGS + tuple(sorted(params))
     return ex.compile_exprs(terms, argnames), argnames, len(terms)
 
 
@@ -196,12 +219,12 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
     if box:
         full_box.update(box)
     fn, argnames, n_terms = _condition(pde, g)
-    extra = argnames[len(_CONDITION_ARGS):]
+    extra = argnames[len(CONDITION_ARGS):]
     if extra and not params:
         raise ValueError(f"unbound parameters {list(extra)}; pass params=")
     fixed = [float(params[name]) for name in extra]
-    lows = [full_box[s][0] for s in _CONDITION_ARGS]
-    highs = [full_box[s][1] for s in _CONDITION_ARGS]
+    lows = [full_box[s][0] for s in CONDITION_ARGS]
+    highs = [full_box[s][1] for s in CONDITION_ARGS]
 
     # Blocks of exactly the points still needed draw the same stream as one
     # point at a time, so the sample is the first n defined points drawn.
@@ -215,9 +238,9 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
                 "could not sample enough jet points without domain violations"
             )
         attempts += m
-        block = rng.uniform(lows, highs, size=(m, len(_CONDITION_ARGS)))
+        block = rng.uniform(lows, highs, size=(m, len(CONDITION_ARGS)))
         values, _ = fn(*block.T.copy(), *fixed)
-        (res,), (mask,) = ex.scale_residuals(values, (n_terms,))
+        (res,), (mask,) = ex.scale_residuals(values, n_terms)
         kept.append(res[~mask])
         found += m - int(mask.sum())
         skipped += int(mask.sum())

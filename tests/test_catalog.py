@@ -118,6 +118,79 @@ def test_match_fhat_no_defined_point_is_no_match():
     assert [m["id"] for m in matches] == ["A_1"]
 
 
+def test_match_fhat_needs_a_sample_point():
+    with pytest.raises(ValueError):
+        match_fhat("phi^2", n=0)
+
+
+def _matchable():
+    return [(spec, var) for spec in ENTRIES if spec.id != "A_1" and not spec.functions
+            for var in spec.variant_names()]
+
+
+# (id, variant) of catalog sources that match_fhat misses at their defaults
+# (n = 10, seed 0): A_3_5_1 has five parameters.
+KNOWN_MISSES = {("A_3_5_1", "none")}
+
+
+def test_match_fhat_recall_at_defaults():
+    # Each catalog source is matched to its own entry, with every parameter
+    # that appears in a generator recovered.  A parameter that appears only
+    # in the source template (A of A_3_5_2/3/5/6/8/10) is not identified by
+    # the symmetry residual and is left out.
+    missed = set()
+    for spec, var in _matchable():
+        entry = instantiate(spec.id, sign_variant="plus" if var == "none" else var)
+        found = [m for m in match_fhat(entry.fhat, n=10, seed=0) if m["id"] == spec.id
+                 and m["sign_variant"] == (var if spec.sign_variants else None)]
+        if not found:
+            missed.add((spec.id, var))
+            continue
+        sym = cat._symbolic(spec.id, var, (), None)
+        for name in set().union(*(g.free_parameters() for g in sym.generators)):
+            assert abs(found[0]["params"][name] - spec.defaults[name]) < 1e-6, (spec.id, var, name)
+    assert missed == KNOWN_MISSES
+
+
+def test_class_condition_matches_derived_condition():
+    # the condition derived once for u_t = u_xx + F, given the source's
+    # partials, is the condition derived for the source itself; x < 0 and
+    # u < 0 reach points where sources or generators are undefined
+    rng = np.random.default_rng(3)
+    jet = {"x": rng.uniform(-0.4, 1.4, 60), "t": rng.uniform(-0.5, 0.5, 60),
+           "u": rng.uniform(-0.5, 1.5, 60), "u_x": rng.uniform(-1, 1, 60),
+           "u_xx": rng.uniform(-1, 1, 60), "u_xxx": rng.uniform(-1, 1, 60)}
+    masked = 0
+    for spec, var in _matchable():
+        entry = instantiate(spec.id, sign_variant="plus" if var == "none" else var)
+        partials = [entry.fhat] + [ex.diff(entry.fhat, v) for v in ("x", "t", "u")]
+        source, _ = ex.compile_exprs(partials, ("x", "t", "u"))(jet["x"], jet["t"], jet["u"])
+        values, _ = cat._class_condition(spec.id, var)(
+            *(jet[k] for k in lie.CONDITION_ARGS), *source,
+            *(entry.params[p] for p in spec.params))
+        got, got_mask = ex.scale_residuals(values, 6)
+        for i, g in enumerate(entry.generators):
+            want, want_mask = ex.scaled_residual(lie.symmetry_condition_terms(entry.pde(), g), jet)
+            assert np.array_equal(got_mask[i], want_mask), (spec.id, var, i)
+            assert np.max(np.abs(got[i] - want), where=~want_mask, initial=0.0) <= 1e-12
+            masked += int(want_mask.sum())
+    assert masked > 0
+
+
+def test_match_fhat_derives_no_condition_on_a_later_call(monkeypatch):
+    match_fhat("phi^2 + sin(x)*phi^3", n=3, seed=0)
+    calls = []
+    prolong2 = lie.prolong2
+
+    def counting(g):
+        calls.append(g)
+        return prolong2(g)
+
+    monkeypatch.setattr(lie, "prolong2", counting)
+    match_fhat("-exp(3*x)*phi^2 - (81/4)*exp(-3*x)", n=3, seed=1)
+    assert calls == []
+
+
 def test_admissible_verdicts():
     # verdicts from sympy on the constraint text, at every entry's defaults
     # and at boundary points of each constraint
@@ -212,6 +285,8 @@ NEGATIVE_CONTROLS = [
     ("A_3_5_8:literal", "minus", [1, 2], 2),
     ("A_3_5_10:literal", "plus", [2], 2),
     ("A_4_3:literal", "minus", [3], 3),
+    ("A_2_2_2:literal", "plus", [1], 1),
+    ("A_3_5_3:literal", "plus", [1, 2], 2),
 ]
 
 
