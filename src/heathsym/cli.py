@@ -430,7 +430,7 @@ def cmd_solve(args) -> int:
         "grid": {"nx": grid.nx, "ntau": grid.ntau, "h": grid.h, "k": grid.k},
         "scheme": scheme.scheme,
         "snapshots": len(snaps),
-        "min_phi": min(float(np.min(s.phi)) for s in snaps),
+        "min_phi": snaps.min_phi,
         "nonpositive_nodes": sum(int(np.count_nonzero(s.phi <= 0.0)) for s in snaps),
     }
     if exact is not None:

