@@ -987,22 +987,30 @@ def _class_condition(entry_id: str, sign_variant: str) -> Callable[..., tuple]:
     return ex.compile_exprs(terms, CONDITION_ARGS + CLASS_SOURCE + get_spec(entry_id).params)
 
 
-# Least-squares refinements per entry and sign variant, from the best
-# candidates down, and the residual evaluations each may take.  On the
-# catalog's own sources a fit that converges takes 1 to 15; the budget cuts
-# off the fits that wander, which are most of the time spent otherwise.
-_REFINED = 3
-_MAX_NFEV = 30
+# The refinement moves an entry's best candidates (grid points or random
+# draws, least cost first) forward together by Levenberg-Marquardt.  One
+# iteration is one call of the compiled class condition on every active
+# candidate and its k forward-difference rows, and a call costs about the
+# same for one row as for fifty.  Thirty candidates find fits that ten miss:
+# from 400 random draws only a few percent reach a fit of the five-parameter
+# A_3_5_1.  A candidate whose accepted step cuts its cost by at most _STALL
+# relatively, while its verdict residual is still above _STALL_ABOVE times
+# the tolerance, has stopped converging to a fit and is dropped; this keeps
+# generic sources cheap.
+_REFINED = 30
+_MAX_ITER = 30
+_STALL = 1e-2
+_STALL_ABOVE = 1e3
 
 
-def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray],
+def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray], confirm: Sequence[np.ndarray],
          rng: np.random.Generator, tolerance: float) -> tuple[np.ndarray, float] | None:
-    """The first refined parameters of an entry whose worst scaled residual
-    over the sample is below ``tolerance``, with that residual; None when no
-    candidate gets there, or when the sample is too small to tell.  ``args``
-    are the jet columns and the source's values F, F_x, F_t, F_u at them."""
-    from scipy import optimize
-
+    """Refined parameters of an entry whose worst scaled residual is below
+    ``tolerance`` over the sample and again over the confirmation sample,
+    with its residual over the sample; None when no candidate gets there,
+    or when the sample is too small to tell.  ``args`` and ``confirm`` are
+    the jet columns and the source's values F, F_x, F_t, F_u at the points
+    of each sample."""
     # A zero residual is evidence only when the equations on the fitted
     # parameters outnumber them: n per generator that involves parameters,
     # against the parameters those generators involve.  With no more, exact
@@ -1015,69 +1023,139 @@ def _fit(spec: EntrySpec, variant: str, args: Sequence[np.ndarray],
     fn = _class_condition(spec.id, variant)
     n_gens, k = len(spec.generators), len(spec.params)
 
-    def residuals(P: np.ndarray, signed: bool = False, floor: float = 1.0) -> tuple:
-        # one row of P per candidate, six summands per generator;
+    def residuals(values: np.ndarray, signed: bool = False, floor: float = 1.0) -> tuple:
+        # six summands per generator, one row of parameters per candidate;
         # returns (candidates, generators, points)
-        values, _ = fn(*args, *P.T[:, :, None])
         res, mask = ex.scale_residuals(values, 6, signed, floor)
-        shape = (n_gens, len(P), -1)
+        shape = (n_gens, values.shape[1], -1)
         return res.reshape(shape).swapaxes(0, 1), mask.reshape(shape).swapaxes(0, 1)
 
-    def worst(P: np.ndarray) -> np.ndarray:
-        res, mask = residuals(P)
+    def verdict(values: np.ndarray, P: np.ndarray, upto: float = np.inf) -> np.ndarray:
+        # Rows whose residual is not below ``upto`` keep it unchecked: the
+        # refinement only asks whether a verdict is below the tolerance or
+        # above _STALL_ABOVE times it, so it skips the constraint call for
+        # the rows far from a fit.
+        res, mask = residuals(values)
         # Undefined points are skipped, but a generator with no defined point
-        # at all says nothing, so the candidate fails.  A safety margin
-        # rejects degenerate boundary fits where the basis collapses (e.g.
-        # all generators limiting onto the time translation, which matches
-        # any autonomous source).
-        failed = mask.all(axis=2).any(axis=1)
-        failed |= spec.violations(dict(zip(spec.params, P.T)), margin=0.05).any(axis=0)
-        return np.where(failed, np.inf, np.max(res, axis=(1, 2), where=~mask, initial=0.0))
+        # at all says nothing, so the candidate fails.
+        worst = np.where(mask.all(axis=2).any(axis=1), np.inf,
+                         np.max(res, axis=(1, 2), where=~mask, initial=0.0))
+        # A safety margin rejects degenerate boundary fits where the basis
+        # collapses (e.g. all generators limiting onto the time translation,
+        # which matches any autonomous source).  A fit outside the candidate
+        # box is a limit of the family, not a member (A_3_5_3 reaches the
+        # A_3_5_5 source with B and Delta near 2e8).
+        i = np.flatnonzero(worst < upto)
+        if len(i):
+            Q = P[i]
+            failed = (np.abs(Q) > 4.0).any(axis=1)
+            failed |= spec.violations(dict(zip(spec.params, Q.T)), margin=0.05).any(axis=0)
+            worst[i[failed]] = np.inf
+        return worst
+
+    def call(columns: Sequence[np.ndarray], P: np.ndarray) -> np.ndarray:
+        # (summands, candidates, points)
+        values, _ = fn(*columns, *P.T[:, :, None])
+        return np.asarray(values).reshape(len(values), len(P), -1)
+
+    def confirmed(P: np.ndarray) -> np.ndarray:
+        return verdict(call(confirm, P), P) < tolerance
 
     # The refinement scales each generator's summands by the largest of them
     # alone, with no floor of 1: a generator whose coefficients all vanish on
     # the way to a degenerate fit then keeps a residual of order one, which
-    # the verdict's scale would read as a perfect fit.
+    # the verdict's scale would read as a perfect fit.  An undefined point
+    # costs as a poor fit, and gives no Jacobian entry.
     tiny = np.finfo(float).tiny
-    # Every residual call also takes the k forward-difference steps in the
-    # same broadcast call, and the Jacobian at a point just evaluated is read
-    # from them.  Matching 44 catalog sources at n = 10 took 15.2 s this way
-    # on a 2-core Xeon VM, against 24.9 s with a separate (k+1)-row call per
-    # Jacobian and 71 s with least_squares' own differences (30 (k+1)
-    # evaluations).
-    steps: dict[str, np.ndarray] = {}
 
-    def vector(p: np.ndarray) -> np.ndarray:
-        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(p))
-        res, mask = residuals(np.vstack([p, p + np.diag(h)]), signed=True, floor=tiny)
-        steps.update(p=p.copy(), h=h, rows=np.where(mask, np.nan, res).reshape(k + 1, -1))
-        return np.where(mask[0], 1.0, res[0]).ravel()  # an undefined point costs as a poor fit
+    def signed(values: np.ndarray) -> np.ndarray:
+        # (candidates, residuals), NaN where undefined
+        res, mask = residuals(values, signed=True, floor=tiny)
+        return np.where(mask, np.nan, res).reshape(values.shape[1], -1)
 
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        if not np.array_equal(p, steps.get("p")):
-            vector(p)
-        rows = steps["rows"]
-        jac = (rows[1:] - rows[0]).T / steps["h"]
-        return np.where(np.isfinite(jac), jac, 0.0)
+    def cost(r: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(np.where(np.isnan(r), 1.0, r) ** 2, axis=1)
 
     if k == 0:
-        score = worst(np.empty((1, 0)))[0]
-        return (np.empty(0), float(score)) if score < tolerance else None
-    if k <= 2:
+        candidates = np.empty((1, 0))
+    elif k <= 2:
         grid = np.linspace(-4.0, 4.0, 17)
         candidates = np.stack(np.meshgrid(*[grid] * k, indexing="ij"), axis=-1).reshape(-1, k)
     else:
         candidates = rng.uniform(-4.0, 4.0, (400, k))
-    scores = worst(candidates)
-    for i in np.argsort(scores, kind="stable")[:_REFINED]:
-        if not np.isfinite(scores[i]):
+    values = call(args, candidates)
+    scores = verdict(values, candidates)
+    # The refinement starts from the candidates of least cost, the quantity
+    # it minimises, among those the verdict can pass.
+    best = np.argsort(np.where(np.isfinite(scores), cost(signed(values)), np.inf), kind="stable")
+    p = candidates[best[:_REFINED][np.isfinite(scores[best[:_REFINED]])]]
+    if not len(p):
+        return None
+    if k == 0:
+        return (p[0], float(scores[0])) if scores[0] < tolerance and confirmed(p)[0] else None
+    eye = np.eye(k)
+
+    def evaluate(P: np.ndarray) -> tuple:
+        # residuals, cost, transposed Jacobian (candidates, k, residuals) and
+        # verdict at each row of P, from one call
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(P))
+        ahead = (P[:, None, :] + h[:, :, None] * eye).reshape(-1, k)
+        values = call(args, np.concatenate([P, ahead]))
+        res = signed(values)
+        r = res[:len(P)]
+        jac = (res[len(P):].reshape(len(P), k, -1) - r[:, None, :]) / h[:, :, None]
+        return (np.where(np.isnan(r), 1.0, r), cost(r), np.where(np.isfinite(jac), jac, 0.0),
+                verdict(values[:, :len(P)], P, _STALL_ABOVE * tolerance))
+
+    # Levenberg-Marquardt with Nielsen's damping update (IMM-REP-1999-05) on
+    # the damped normal equations, in parameters scaled by the running
+    # maximum of each Jacobian column's norm (More 1978, as in MINPACK).
+    r, f, jac, score = evaluate(p)
+    scale = np.linalg.norm(jac, axis=2)
+    scale[scale == 0.0] = 1.0
+    lam, nu = np.full(len(p), 1e-3), np.full(len(p), 2.0)
+    fresh, fit = np.ones(len(p), dtype=bool), np.zeros(len(p), dtype=bool)
+    for it in range(_MAX_ITER + 1):
+        # A fit under tolerance on the sample counts only when the
+        # confirmation sample agrees; until then it keeps iterating.
+        check = np.flatnonzero(fresh & (score < tolerance) & ~fit)
+        if len(check):
+            fit[check] = confirmed(p[check])
+        if it == _MAX_ITER or not len(p):
             break
-        p = optimize.least_squares(vector, candidates[i], jac=jacobian, method="lm",
-                                   max_nfev=_MAX_NFEV).x
-        score = worst(p[None])[0]
-        if score < tolerance:
-            return p, float(score)
-    return None
+        J = jac / scale[:, :, None]
+        g = J @ r[:, :, None]
+        with np.errstate(all="ignore"):
+            step = np.linalg.solve(J @ J.swapaxes(1, 2) + lam[:, None, None] * eye, -g)[..., 0]
+            predicted = 0.5 * np.sum(step * (lam[:, None] * step - g[..., 0]), axis=1)
+            trial = p + step / scale
+            r_t, f_t, jac_t, score_t = evaluate(trial)
+            rho = (f - f_t) / predicted
+            good = (rho > 0.0) & np.isfinite(trial).all(axis=1)
+            small = ~good | (f - f_t <= _STALL * f)
+            # The floor keeps the damped matrix nonsingular where the
+            # Jacobian is rank-deficient: its scaled diagonal is at most 1.
+            lam = np.maximum(lam * np.where(good, np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), nu),
+                             1e-12)
+            nu = np.where(good, 2.0, 2.0 * nu)
+            scale_t = np.maximum(scale, np.linalg.norm(jac_t, axis=2))
+        # A candidate stops when its step no longer moves it (a zero gradient,
+        # or damping grown past any step), or when an accepted step barely
+        # cuts a cost still far from a fit.
+        stop = (trial == p).all(axis=1) | (good & small & (score_t > _STALL_ABOVE * tolerance))
+        p[good], r[good], f[good], jac[good] = trial[good], r_t[good], f_t[good], jac_t[good]
+        score[good], scale[good] = score_t[good], scale_t[good]
+        fresh = good
+        fit &= score < tolerance
+        # A confirmed fit is returned once its cost stops falling, so that
+        # its parameters are polished, not only under tolerance.
+        if (fit & small).any():
+            i = np.argmax(fit & small)
+            return p[i], float(score[i])
+        if stop.any():
+            p, r, f, jac, score, scale, lam, nu, fresh, fit = (
+                v[~stop] for v in (p, r, f, jac, score, scale, lam, nu, fresh, fit))
+    return (p[fit][0], float(score[fit][0])) if fit.any() else None
 
 
 def match_fhat(
@@ -1094,38 +1172,50 @@ def match_fhat(
     compiled once per entry; a call evaluates the given source and its
     partials at the n sample points only.  The whole parameter grid (17^k
     points on [-4, 4]^k for k <= 2 parameters, else 400 random draws) is
-    scored in one batched call, and the best candidates are refined by
-    least squares on the signed scaled residuals.  An entry matches when
-    some refined fit is admissible with a margin of 0.05 and its worst
-    scaled residual over the defined sample points is below ``tolerance``;
+    scored in one batched call, and the 30 candidates of least cost are
+    refined together by Levenberg-Marquardt on the signed scaled residuals,
+    one compiled call per iteration for all of them.  An entry matches when
+    some refined fit lies in [-4, 4]^k, is admissible with a margin of 0.05,
+    and its worst scaled residual over the defined sample points is below
+    ``tolerance``, both at the n sample points and at n more confirmation
+    points from their own stream (``np.random.default_rng([seed, 1])``);
     a generator with no defined point fails the fit.  An entry is not
     tried when its generators that involve parameters give, at n points,
     no more equations than the parameters they involve (A_3_5_1 and
-    A_3_8_1/2 need n >= 3).  Returns candidates sorted by dimension
-    (largest algebra first); A_1 always matches.
+    A_3_8_1/2 need n >= 3).  The answer is deterministic given ``seed``.
+    Returns candidates sorted by dimension (largest algebra first); A_1
+    always matches.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     fhat_expr = parse_xtu(fhat) if isinstance(fhat, str) else ex.rename(fhat, {"phi": "u", "tau": "t"})
 
+    partials = ex.compile_exprs([fhat_expr] + [ex.diff(fhat_expr, v) for v in ("x", "t", "u")],
+                                ("x", "t", "u"))
+
+    def sample(rng: np.random.Generator) -> list[np.ndarray]:
+        # the columns of CONDITION_ARGS, then F, F_x, F_t, F_u there
+        jet = [
+            rng.uniform(*_DEF_BOX["x"], n),
+            rng.uniform(-0.5, 0.5, n),
+            rng.uniform(*_DEF_BOX["u"], n),
+            rng.uniform(-1.0, 1.0, n),
+            rng.uniform(-1.0, 1.0, n),
+            rng.uniform(-1.0, 1.0, n),
+        ]
+        return jet + list(partials(*jet[:3])[0])
+
+    # The confirmation sample has its own stream, so the candidate draws
+    # from the main one do not depend on it.
     rng = np.random.default_rng(seed)
-    jet = [
-        rng.uniform(*_DEF_BOX["x"], n),
-        rng.uniform(-0.5, 0.5, n),
-        rng.uniform(*_DEF_BOX["u"], n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-    ]  # the columns of CONDITION_ARGS
-    partials = [fhat_expr] + [ex.diff(fhat_expr, v) for v in ("x", "t", "u")]
-    source, _ = ex.compile_exprs(partials, ("x", "t", "u"))(*jet[:3])
+    args, confirm = sample(rng), sample(np.random.default_rng([seed, 1]))
 
     matches = [{"id": "A_1", "params": {}, "sign_variant": None, "residual": 0.0}]
     for spec in ENTRIES:
         if spec.id == "A_1" or spec.functions:
             continue
         for variant in spec.variant_names():
-            fit = _fit(spec, variant, jet + list(source), rng, tolerance)
+            fit = _fit(spec, variant, args, confirm, rng, tolerance)
             if fit is not None:
                 matches.append({
                     "id": spec.id,
