@@ -39,6 +39,7 @@ from .expr import Expr
 from .lie import (
     CLASS_SOURCE,
     CONDITION_ARGS,
+    DEFAULT_BOX,
     EvolutionPDE,
     Generator,
     SymmetryReport,
@@ -872,8 +873,7 @@ def _resolve(
         choices.append(ex.parse(raw) if isinstance(raw, str) else raw)
 
     if spec.fhat is None:
-        src = fhat if fhat is not None else "phi^2"
-        fhat = parse_xtu(src) if isinstance(src, str) else ex.rename(src, {"phi": "u", "tau": "t"})
+        fhat = parse_xtu(fhat if fhat is not None else "phi^2")
     elif fhat is not None:
         raise ValueError(f"{entry_id}: fhat is fixed by the catalog")
     return spec, pvals, sign_variant, _symbolic(entry_id, sign_variant, tuple(choices), fhat)
@@ -1188,21 +1188,16 @@ def match_fhat(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fhat_expr = parse_xtu(fhat) if isinstance(fhat, str) else ex.rename(fhat, {"phi": "u", "tau": "t"})
+    fhat_expr = parse_xtu(fhat)
 
     partials = ex.compile_exprs([fhat_expr] + [ex.diff(fhat_expr, v) for v in ("x", "t", "u")],
                                 ("x", "t", "u"))
 
+    box = {**DEFAULT_BOX, **_DEF_BOX}
+
     def sample(rng: np.random.Generator) -> list[np.ndarray]:
         # the columns of CONDITION_ARGS, then F, F_x, F_t, F_u there
-        jet = [
-            rng.uniform(*_DEF_BOX["x"], n),
-            rng.uniform(-0.5, 0.5, n),
-            rng.uniform(*_DEF_BOX["u"], n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-        ]
+        jet = [rng.uniform(*box[name], n) for name in CONDITION_ARGS]
         return jet + list(partials(*jet[:3])[0])
 
     # The confirmation sample has its own stream, so the candidate draws

@@ -40,6 +40,7 @@ from .catalog import (
     verify_entry,
 )
 from .expr import ParseError
+from .lie import heat_str, parse_xtu
 from .model import (
     DegenerateSourceWarning,
     HeathModel,
@@ -200,7 +201,7 @@ def cmd_transform(args) -> int:
             lin, witness = is_linearizable(m)
             payload = {
                 "direction": "to-heat",
-                "fhat": ex.to_str(ex.rename(h.fhat, {"u": "phi"})),
+                "fhat": heat_str(h.fhat),
                 "map": {
                     "tau": ex.to_str(cmap.forward[1]),
                     "phi": ex.to_str(cmap.forward[2]),
@@ -213,7 +214,7 @@ def cmd_transform(args) -> int:
             for key in ("a", "b", "fhat"):
                 if key not in desc:
                     raise CliError(f"to-heath model needs key {key!r}")
-            h = HeatSourceModel(ex.parse(desc["fhat"]))
+            h = HeatSourceModel(desc["fhat"])
             m = heat_to_heath(h, float(desc["a"]), float(desc["b"]))
             payload = {
                 "direction": "to-heath",
@@ -226,8 +227,6 @@ def cmd_transform(args) -> int:
                     ),
                 },
             }
-    except ParseError as e:
-        raise CliError(f"expression parse error: {e}")
     except ValueError as e:
         raise CliError(str(e))
     _emit(payload, args.out)
@@ -371,10 +370,7 @@ def _model_case(desc: dict):
     model descriptor with keys fhat, exact, and optional barrier."""
     if "fhat" not in desc:
         raise CliError("model descriptor needs key 'fhat'")
-    try:
-        model = HeatSourceModel(ex.parse(desc["fhat"]))
-    except ParseError as e:
-        raise CliError(f"expression parse error: {e}")
+    model = HeatSourceModel(desc["fhat"])
     exact = desc.get("exact")
     barrier = None
     if "barrier" in desc:
@@ -401,30 +397,20 @@ def cmd_solve(args) -> int:
         scheme.validate(grid)
     except ValueError as e:
         raise CliError(str(e))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sv.PositivityWarning)
-            if barrier is not None:
-                if exact is None:
-                    raise CliError("barrier runs need 'exact' reference data")
-                snaps = sv.solve_barrier(model, barrier, grid, scheme, exact)
-                mask = lambda tau: sv.barrier_mask(barrier, grid, tau)
-            else:
-                init = desc.get("init", None)
-                if init is None and exact is None:
-                    raise CliError("model descriptor needs 'init' or 'exact'")
-                if init is None:
-                    fn = ex.rename(ex.parse(exact), {"tau": "t", "phi": "u"})
-                    init = ex.substitute(fn, "t", ex.num(grid.tau0))
-                boundary = desc.get("boundary", exact)
-                snaps = sv.solve(model, init, grid, scheme, boundary=boundary)
-                mask = None
-    except sv.BarrierExitsGridError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-    except sv.InstabilityError as e:
-        raise CliError(str(e), EXIT_INSTABILITY)
-    except ParseError as e:
-        raise CliError(f"expression parse error: {e}")
+    if barrier is not None:
+        if exact is None:
+            raise CliError("barrier runs need 'exact' reference data")
+        snaps = sv.solve_barrier(model, barrier, grid, scheme, exact)
+        mask = lambda tau: sv.barrier_mask(barrier, grid, tau)
+    else:
+        init = desc.get("init", None)
+        if init is None and exact is None:
+            raise CliError("model descriptor needs 'init' or 'exact'")
+        if init is None:
+            init = ex.substitute(parse_xtu(exact), "t", ex.num(grid.tau0))
+        boundary = desc.get("boundary", exact)
+        snaps = sv.solve(model, init, grid, scheme, boundary=boundary)
+        mask = None
 
     summary: dict = {
         "grid": {"nx": grid.nx, "ntau": grid.ntau, "h": grid.h, "k": grid.k},
@@ -461,15 +447,9 @@ def cmd_converge(args) -> int:
         raise CliError("converge needs --params '{\"levels\": [nx, ...]}'")
     case = sv.ConvergenceCase(model, exact, grid, scheme, barrier=barrier)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sv.PositivityWarning)
-            report = sv.convergence_study(case, [int(n) for n in levels])
+        report = sv.convergence_study(case, [int(n) for n in levels])
     except ValueError as e:
         raise CliError(str(e))
-    except sv.BarrierExitsGridError as e:
-        raise CliError(str(e), EXIT_DOMAIN)
-    except sv.InstabilityError as e:
-        raise CliError(str(e), EXIT_INSTABILITY)
     report["scheme"] = scheme.scheme
     _emit(report, args.out)
     return EXIT_OK
@@ -540,14 +520,24 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.tol is None:
         args.tol = args.default_tol
+    # The errors any command may raise, each with its exit code; a command
+    # turns its own ValueErrors into CliError, as what they mean differs.
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sv.PositivityWarning)
+            return args.fn(args)
     except CliError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return e.code
+        err = e
+    except ParseError as e:
+        err = CliError(f"expression parse error: {e}")
     except ex.DomainError as e:
-        sys.stderr.write(f"error: domain violation: {e}\n")
-        return EXIT_DOMAIN
+        err = CliError(f"domain violation: {e}", EXIT_DOMAIN)
+    except sv.BarrierExitsGridError as e:
+        err = CliError(str(e), EXIT_DOMAIN)
+    except sv.InstabilityError as e:
+        err = CliError(str(e), EXIT_INSTABILITY)
+    sys.stderr.write(f"error: {err}\n")
+    return err.code
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Everything works on the jet space with coordinates
 ``x, t, u, u_x, u_t, u_xx, u_xt, u_xxx``.  The heat-picture variables
-(tau, phi) are represented by the same (t, u) names internally; callers that
-prefer tau/phi spelling can parse through `parse_xtu`.
+(tau, phi) are represented by the same (t, u) names: `parse_xtu` is the one
+reader of the tau/phi spelling, and `heat_str` prints an expression back in
+it.
 """
 
 from __future__ import annotations
@@ -23,10 +24,18 @@ JET_SYMBOLS = ("x", "t", "u", "u_x", "u_t", "u_xx", "u_xt", "u_xxx")
 _HEAT_NAMES = {"tau": "t", "phi": "u"}
 
 
-def parse_xtu(text: str) -> Expr:
-    """Parse an expression written in either (x,t,u) or (x,tau,phi) naming
-    into the internal (x,t,u) convention."""
-    return ex.rename(ex.parse(text), _HEAT_NAMES)
+def parse_xtu(e: str | Expr) -> Expr:
+    """An expression written in (x, t, u) or in the heat picture's
+    (x, tau, phi), as text or as an Expr, in the (x, t, u) names that every
+    stored and returned expression uses.  Either spelling may be used on
+    input; mixing tau with t (or phi with u) merges them."""
+    return ex.rename(ex.parse(e) if isinstance(e, str) else e, _HEAT_NAMES)
+
+
+def heat_str(e: Expr) -> str:
+    """The text of a heat-picture expression in (x, tau, phi): the inverse
+    of `parse_xtu`'s renaming, for output."""
+    return ex.to_str(ex.rename(e, {v: k for k, v in _HEAT_NAMES.items()}))
 
 
 @dataclass(frozen=True)
@@ -264,9 +273,7 @@ def classification_residual(fhat: Expr, F1: Expr, F2: Expr, F3: Expr, F4: Expr,
     Vanishes identically when (F1..F4) encode a point symmetry of
     u_t = u_xx + fhat(x, u).
     """
-    fhat = ex.rename(fhat, _HEAT_NAMES)
-    F1 = ex.rename(F1, _HEAT_NAMES)
-    F2, F3, F4 = (ex.rename(F, _HEAT_NAMES) for F in (F2, F3, F4))
+    fhat, F1, F2, F3, F4 = map(parse_xtu, (fhat, F1, F2, F3, F4))
     x, u = ex.sym("x"), ex.sym("u")
     f_u = ex.diff(fhat, "u")
     f_x = ex.diff(fhat, "x")
@@ -300,7 +307,7 @@ def solution_invariance_residual(g: Generator, u: Expr,
     solution u(x,t) and its derivatives substituted in, scaled per point by
     the largest summand so solutions of huge magnitude are judged relative
     to their size."""
-    u = ex.rename(u, _HEAT_NAMES)
+    u = parse_xtu(u)
     ux, ut = ex.diff(u, "x"), ex.diff(u, "t")
     sub = {"u_x": ux, "u_t": ut, "u": u}
     terms = [

@@ -61,11 +61,10 @@ class HeathModel:
 
 @dataclass(frozen=True)
 class HeatSourceModel:
-    fhat: Expr  # in (x, phi); internally phi is the symbol u
+    fhat: Expr  # in (x, u), u standing for phi; text or Expr in either spelling
 
     def __post_init__(self):
-        fh = parse_if_str(self.fhat)
-        object.__setattr__(self, "fhat", ex.rename(fh, {"phi": "u", "tau": "t"}))
+        object.__setattr__(self, "fhat", parse_xtu(self.fhat))
         extra = ex.free_symbols(self.fhat) - {"x", "u"}
         if extra:
             raise ValueError(f"fhat may only contain x and phi; found {sorted(extra)}")
@@ -89,13 +88,10 @@ def vanishes(e: Expr, points: Mapping[str, np.ndarray], tol: float) -> bool:
     return decisive.size == 0
 
 
-def parse_if_str(e) -> Expr:
-    return ex.parse(e) if isinstance(e, str) else e
-
-
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Forward (x,t,u) -> (x,tau,phi) and its inverse, as expression triples."""
+    """Forward (x,t,u) -> (x,tau,phi) and its inverse, as expression triples
+    in (x, t, u): the inverse's t and u stand for tau and phi."""
 
     forward: tuple[Expr, Expr, Expr]
     inverse: tuple[Expr, Expr, Expr]
@@ -104,9 +100,8 @@ class CoordinateMap:
     def heath_heat(cls, a: float, b: float) -> "CoordinateMap":
         an, bn = ex.num(a), ex.num(b)
         x, t, u = ex.sym("x"), ex.sym("t"), ex.sym("u")
-        tau, phi = ex.sym("tau"), ex.sym("phi")
         fwd = (x, -bn * bn / 2 * t, ex.exp(-(an * x + u) / (bn * bn)))
-        inv = (x, -2 * tau / (bn * bn), -bn * bn * ex.ln(phi) - an * x)
+        inv = (x, -2 * t / (bn * bn), -bn * bn * ex.ln(u) - an * x)
         return cls(fwd, inv)
 
     def push_forward(self, xv: float, tv: float, uv: float) -> tuple[float, float, float]:
@@ -114,7 +109,7 @@ class CoordinateMap:
         return tuple(ex.evaluate(e, env) for e in self.forward)
 
     def pull_back(self, xv: float, tauv: float, phiv: float) -> tuple[float, float, float]:
-        env = {"x": xv, "tau": tauv, "phi": phiv}
+        env = {"x": xv, "t": tauv, "u": phiv}
         return tuple(ex.evaluate(e, env) for e in self.inverse)
 
 
@@ -157,7 +152,7 @@ def pde_residual(pde: EvolutionPDE, u: Expr, pts: Sequence[tuple[float, float]],
     """Max of |u_t - rhs| over (x,t) points for an explicit candidate u(x,t),
     scaled per point by max(1, |summand|) over the additive pieces of the
     equation so fields of huge magnitude are judged relative to their size."""
-    u = ex.rename(parse_if_str(u), {"tau": "t", "phi": "u"})
+    u = parse_xtu(u)
     jet = {"u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2)}
     rhs_terms = pde.rhs.args if pde.rhs.op == "add" else (pde.rhs,)
     terms = [ex.diff(u, "t")] + [ex.num(-1) * ex.subs(t, jet) for t in rhs_terms]
@@ -189,7 +184,7 @@ def apply_equivalence(h: HeatSourceModel, d0: float, d1: float, d3: float, d4: f
     """
     if d4 == 0 or d1 == 0:
         raise ValueError("equivalence transformation requires d1 != 0 and d4 != 0")
-    F = parse_if_str(F)
+    F = parse_xtu(F)
     if ex.free_symbols(F) - {"x"}:
         raise ValueError("F must be a function of x only")
     x_new, phi_new = ex.sym("x"), ex.sym("u")

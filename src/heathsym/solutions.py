@@ -2,9 +2,10 @@
 problems, each packaged with the exact PDE it solves, a documented safe
 sample box, and self-checks.
 
-Conventions: expressions in the original variables use (x, t, u); heat-picture
-expressions use (x, tau, phi) at the API surface and are stored internally
-with the usual (t, u) spelling.
+Conventions: every stored and returned expression is in (x, t, u), the
+heat picture's tau and phi included: t stands for tau and u for phi there.
+Input may use either spelling (`parse_xtu`); heat-picture output is printed
+in (x, tau, phi) (`ClosedFormSolution.to_json`, `sample_csv`).
 """
 
 from __future__ import annotations
@@ -21,21 +22,20 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .lie import EvolutionPDE, Generator, parse_xtu, solution_invariance_residual
+from .lie import EvolutionPDE, Generator, heat_str, parse_xtu, solution_invariance_residual
 from .model import HeathModel, HeatSourceModel, CoordinateMap, pde_residual
 
 
 @functools.lru_cache(maxsize=None)
 def _parse(text: str) -> Expr:
-    """One of this module's constant templates, parsed once per process
-    (an Expr is immutable, so every caller can share it)."""
-    return ex.parse(text)
-
-
-@functools.lru_cache(maxsize=None)
-def _parse_xtu(text: str) -> Expr:
-    """``parse_xtu`` of a constant template, once per process."""
+    """One of this module's constant templates, in (x, t, u), parsed once
+    per process (an Expr is immutable, so every caller can share it)."""
     return parse_xtu(text)
+
+
+def _fill(text: str, **values) -> Expr:
+    """A template with the named symbols replaced by numbers or Exprs."""
+    return ex.subs(_parse(text), values)
 
 
 class SampleDomainError(ValueError):
@@ -119,10 +119,7 @@ class ClosedFormSolution:
             {
                 "label": self.label,
                 "picture": self.picture,
-                "field": ex.to_str(
-                    self.u if self.picture == "heath"
-                    else ex.rename(self.u, {"t": "tau", "u": "phi"})
-                ),
+                "field": ex.to_str(self.u) if self.picture == "heath" else heat_str(self.u),
                 "params": dict(self.params),
                 "box": {("x" if k == "x" else time_name): list(v) for k, v in self.box.items()},
                 "boundary": dict(self.boundary),
@@ -171,9 +168,8 @@ def terminal_solution(a: float, b: float, T: float) -> ClosedFormSolution:
     (A = 3, B = 1/2 instance)."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    sub = {"a": ex.num(a), "b": ex.num(b), "T": ex.num(T)}
-    u = ex.subs(_parse(_TERMINAL_U), sub)
-    f = ex.subs(_parse(_TERMINAL_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = _fill(_TERMINAL_U, a=a, b=b, T=T)
+    f = _fill(_TERMINAL_F, a=a, b=b)
     t_sing = terminal_singular_time(b, T)
     t_lo = max(T - 0.5, t_sing + 0.2)
     return ClosedFormSolution(
@@ -231,9 +227,7 @@ def terminal_reduction_F(a: float, b: float, T: float, c: float | None = None) -
     """The reduced-ODE profile F(tau); ``c`` defaults to the pinned value."""
     if c is None:
         c = terminal_reduction_constant(a, b, T)
-    Tp = -b * b * T / 2.0
-    sub = {"a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp), "c": ex.num(c)}
-    return ex.subs(_parse_xtu(_REDUCTION_F), sub)
+    return _fill(_REDUCTION_F, a=a, b=b, Tp=-b * b * T / 2.0, c=c)
 
 
 def terminal_phi_form(a: float, b: float, T: float, c: float | None = None) -> ClosedFormSolution:
@@ -242,11 +236,10 @@ def terminal_phi_form(a: float, b: float, T: float, c: float | None = None) -> C
     if c is None:
         c = terminal_reduction_constant(a, b, T)
     Tp = -b * b * T / 2.0
-    sub = {"a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp), "c": ex.num(c)}
-    prefix = ex.subs(_parse_xtu(_REDUCTION_PHI_PREFIX), sub)
+    prefix = _fill(_REDUCTION_PHI_PREFIX, a=a, b=b, Tp=Tp, c=c)
     F = terminal_reduction_F(a, b, T, c)
     phi = prefix * F
-    fhat = ex.subs(_parse_xtu("phi*(3*ln(abs(phi)) + x^2/2)"), {})
+    fhat = _parse("phi*(3*ln(abs(phi)) + x^2/2)")
     tau_hi = min(0.0, Tp + 0.5 * math.log(2.0))  # stay clear of 2e^{-tau}=e^{-Tp}
     return ClosedFormSolution(
         label="terminal-value similarity solution (heat picture)",
@@ -287,20 +280,17 @@ def terminal_ode_residual(
     """Residual of the reduced ODE for a candidate profile F(tau)."""
     Tp = -b * b * T / 2.0
     S = math.sqrt(A * A - 16 * B)
-    F = ex.rename(F, {"tau": "t"})
-    lhs = _parse_xtu(_REDUCTION_ODE)
     sub = {
-        "a": ex.num(a), "b": ex.num(b), "Tp": ex.num(Tp),
-        "A": ex.num(A), "B": ex.num(B), "S": ex.num(S), "Delta": ex.num(delta),
+        "a": a, "b": b, "Tp": Tp, "A": A, "B": B, "S": S, "Delta": delta,
         "E1": ex.exp(-(ex.sym("t") - ex.num(Tp)) * ex.num(S)),
         "E2": ex.exp(-2 * (ex.sym("t") - ex.num(Tp)) * ex.num(S)),
         "LOGF": ex.ln(ex.call("abs", F)),
         "FF": F,
         "FP": ex.diff(F, "t"),
     }
-    lhs = ex.subs(lhs, sub)
-    scale = ex.call("abs", ex.num(b) ** 4 * ex.subs(_parse_xtu(
-        "( (1+E2)*A^2 + (E2-1)*A*S - 8*(1+E1)^2*B )"), sub) * sub["FP"])
+    lhs = _fill(_REDUCTION_ODE, **sub)
+    scale = ex.call("abs", ex.num(b) ** 4 * _fill(
+        "( (1+E2)*A^2 + (E2-1)*A*S - 8*(1+E1)^2*B )", **sub) * sub["FP"])
     lv, sv = ex.evaluate_many([lhs, scale], {"t": np.asarray(taus, dtype=float)})
     return float(np.max(np.abs(lv) / np.maximum(1.0, sv), initial=0.0))
 
@@ -346,11 +336,10 @@ def barrier_H_general(
     if B == 0:
         raise ValueError("B must be nonzero")
     S = _check_hyperbolic(A, B)
-    sub = {
-        "A": ex.num(A), "B": ex.num(B), "S": ex.num(S),
-        "c1": ex.num(c1), "c3": ex.num(c3), "c4": ex.num(c4), "c5": ex.num(c5),
-    }
-    return ex.rename(ex.subs(_parse_xtu(_H_GENERAL), sub), {"t": "tau"})
+    return _fill(_H_GENERAL, A=A, B=B, S=S, c1=c1, c3=c3, c4=c4, c5=c5)
+
+
+_H_ODE = "4*exp((A-S)*tau/2)*(c3 + exp(S*tau)*c4) - c1*HP"
 
 
 def barrier_H_ode_residual(
@@ -358,12 +347,7 @@ def barrier_H_ode_residual(
     taus: Sequence[float],
 ) -> float:
     S = _check_hyperbolic(A, B)
-    Ht = ex.rename(H, {"tau": "t"})
-    lhs = (
-        4 * ex.exp(ex.num((A - S) / 2) * ex.sym("t"))
-        * (ex.num(c3) + ex.exp(ex.num(S) * ex.sym("t")) * ex.num(c4))
-        - ex.num(c1) * ex.diff(Ht, "t")
-    )
+    lhs = _fill(_H_ODE, A=A, S=S, c1=c1, c3=c3, c4=c4, HP=ex.diff(H, "t"))
     (v,) = ex.evaluate_many([lhs], {"t": np.asarray(taus, dtype=float)})
     return float(np.max(np.abs(v)))
 
@@ -386,13 +370,8 @@ def barrier_R_general(
     if B == 0:
         raise ValueError("B must be nonzero")
     S = _check_hyperbolic(A, B)
-    sub = {
-        "a": ex.num(a), "b": ex.num(b),
-        "A": ex.num(A), "B": ex.num(B), "S": ex.num(S),
-        "c1": ex.num(c1), "c2": ex.num(c2), "c3": ex.num(c3),
-        "c4": ex.num(c4), "c5": ex.num(c5), "c6": ex.num(c6),
-    }
-    return ex.rename(ex.subs(_parse_xtu(_R_GENERAL), sub), {"t": "tau"})
+    return _fill(_R_GENERAL, a=a, b=b, A=A, B=B, S=S,
+                 c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6)
 
 
 _R_ODE = """
@@ -413,32 +392,29 @@ def barrier_R_ode_residual(
     taus: Sequence[float],
 ) -> float:
     S = _check_hyperbolic(A, B)
-    Rt = ex.rename(R, {"tau": "t"})
-    sub = {
-        "a": ex.num(a), "b": ex.num(b),
-        "A": ex.num(A), "B": ex.num(B), "S": ex.num(S),
-        "c1": ex.num(c1), "c2": ex.num(c2), "c3": ex.num(c3),
-        "c4": ex.num(c4), "c5": ex.num(c5),
-        "RP": ex.diff(Rt, "t"),
-    }
-    lhs = ex.subs(_parse_xtu(_R_ODE), sub)
+    lhs = _fill(_R_ODE, a=a, b=b, A=A, B=B, S=S,
+                c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, RP=ex.diff(R, "t"))
     (v,) = ex.evaluate_many([lhs], {"t": np.asarray(taus, dtype=float)})
     return float(np.max(np.abs(v)))
 
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Exponential barrier: curve H and datum R in heat time tau."""
+    """Exponential barrier: curve H and datum R as functions of heat time
+    tau, stored in the symbol t like every heat-picture expression.  They
+    may be given as text or Expr in either spelling (`parse_xtu`)."""
 
     alpha: float
     beta: float
     K: float
     T: float
-    H: Expr  # Expr(tau)
-    R: Expr  # Expr(tau)
+    H: Expr  # in t, standing for tau
+    R: Expr  # in t, standing for tau
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "H", parse_xtu(self.H))
+        object.__setattr__(self, "R", parse_xtu(self.R))
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if not (0.0 <= self.beta <= 1.0):
@@ -448,12 +424,15 @@ class BarrierSpec:
 
     def H_of_t(self, b: float) -> Expr:
         """Barrier curve in original time t (tau = -b^2 t/2)."""
-        tau = ex.num(-(b * b) / 2) * ex.sym("t")
-        return ex.simplify(ex.substitute(ex.rename(self.H, {"tau": "t"}), "t", tau))
+        return _in_heath_time(self.H, b)
 
     def R_of_t(self, b: float) -> Expr:
-        tau = ex.num(-(b * b) / 2) * ex.sym("t")
-        return ex.simplify(ex.substitute(ex.rename(self.R, {"tau": "t"}), "t", tau))
+        return _in_heath_time(self.R, b)
+
+
+def _in_heath_time(e: Expr, b: float) -> Expr:
+    """A function of heat time tau (in t) as a function of original time t."""
+    return ex.simplify(ex.substitute(e, "t", ex.num(-(b * b) / 2) * ex.sym("t")))
 
 
 def exponential_barrier(
@@ -470,23 +449,14 @@ def exponential_barrier(
     if A * b * b <= -4 * alpha:
         raise ValueError("requires A*b^2 > -4*alpha")
     B = -(b * b * alpha * A + 2 * alpha * alpha) / (2 * b ** 4)
-    sub = {
-        "alpha": ex.num(alpha), "beta": ex.num(beta), "K": ex.num(K),
-        "T": ex.num(T), "a": ex.num(a), "b": ex.num(b),
-    }
-    H = ex.subs(_parse_xtu("K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)"), sub)
-    R = ex.subs(
-        _parse_xtu(
-            "-(1/2)*beta*K*exp(-2*alpha*(2*tau/b^2 + T))"
-            "*(2*a*exp(alpha*(2*tau/b^2 + T)) + alpha*beta*K)"
-        ),
-        sub,
-    )
+    sub = {"alpha": alpha, "beta": beta, "K": K, "T": T, "a": a, "b": b}
+    H = _fill("K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)", **sub)
+    R = _fill("-(1/2)*beta*K*exp(-2*alpha*(2*tau/b^2 + T))"
+              "*(2*a*exp(alpha*(2*tau/b^2 + T)) + alpha*beta*K)", **sub)
     c3 = 1.0
     c1 = -2 * b * b * math.exp(alpha * T) * c3 / (alpha * beta * K)
     return BarrierSpec(
-        alpha=alpha, beta=beta, K=K, T=T,
-        H=ex.rename(H, {"t": "tau"}), R=ex.rename(R, {"t": "tau"}),
+        alpha=alpha, beta=beta, K=K, T=T, H=H, R=R,
         params={"a": a, "b": b, "A": A, "B": B, "c1": c1, "c2": 0.0,
                 "c3": c3, "c4": 0.0, "c5": 0.0, "c6": 0.0},
     )
@@ -523,10 +493,8 @@ class BarrierSolution:
     def boundary_residual(self, ts: Sequence[float]) -> float:
         """Max |u(H(t), t) - R(t)| over times, scaled by magnitude."""
         b = self.heath.params["b"]
-        H = ex.rename(self.spec.H_of_t(b), {"tau": "t"})
-        R = ex.rename(self.spec.R_of_t(b), {"tau": "t"})
         ts = np.asarray(ts, dtype=float)
-        hv, rv = ex.evaluate_many([H, R], {"t": ts})
+        hv, rv = ex.evaluate_many([self.spec.H_of_t(b), self.spec.R_of_t(b)], {"t": ts})
         uv = self.heath.evaluate(hv, ts)
         return float(np.max(np.abs(uv - rv) / np.maximum(1.0, np.abs(rv))))
 
@@ -534,10 +502,8 @@ class BarrierSolution:
         """Max scaled |phi(H(tau), tau) - exp(-(a H + R)/b^2)|."""
         a = self.heath.params["a"]
         b = self.heath.params["b"]
-        H = ex.rename(self.spec.H, {"tau": "t"})
-        R = ex.rename(self.spec.R, {"tau": "t"})
         taus = np.asarray(taus, dtype=float)
-        hv, rv = ex.evaluate_many([H, R], {"t": taus})
+        hv, rv = ex.evaluate_many([self.spec.H, self.spec.R], {"t": taus})
         (pv,) = ex.evaluate_many([self.heat.u], {"x": hv, "t": taus})
         datum = self._to_phi(a, b, hv, rv)
         return float(np.max(np.abs(pv - datum) / np.maximum(1.0, np.abs(datum))))
@@ -583,13 +549,10 @@ def barrier_solution(
     spec = exponential_barrier(a, b, alpha, beta, K, T, A)
     B = spec.params["B"]
     delta = A / 2.0 + alpha / (b * b)
-    sub = {
-        "a": ex.num(a), "b": ex.num(b), "alpha": ex.num(alpha),
-        "beta": ex.num(beta), "K": ex.num(K), "T": ex.num(T),
-        "A": ex.num(A), "B": ex.num(B), "Delta": ex.num(delta),
-    }
-    u = ex.subs(_parse(_BARRIER_U), sub)
-    f = ex.subs(_parse(_BARRIER_F), sub)
+    sub = {"a": a, "b": b, "alpha": alpha, "beta": beta, "K": K, "T": T,
+           "A": A, "B": B, "Delta": delta}
+    u = _fill(_BARRIER_U, **sub)
+    f = _fill(_BARRIER_F, **sub)
     heath = ClosedFormSolution(
         label="barrier similarity solution",
         picture="heath",
@@ -602,14 +565,12 @@ def barrier_solution(
         notes=("polynomial in x; residual is exact everywhere",),
     )
 
-    zeta = ex.subs(_parse_xtu(_BARRIER_ZETA), sub)
-    profile = ex.subs(_parse(_BARRIER_FPROFILE), sub)
+    zeta = _fill(_BARRIER_ZETA, **sub)
+    profile = _fill(_BARRIER_FPROFILE, **sub)
     phi = ex.exp(ex.num(alpha) * ex.sym("x") ** 2 / (2 * ex.num(b) ** 2)) * ex.substitute(
         profile, "s", zeta
     )
-    fhat = ex.subs(
-        _parse_xtu("phi*(A*ln(abs(phi)) + B*x^2 + Delta)"), sub
-    )
+    fhat = _fill("phi*(A*ln(abs(phi)) + B*x^2 + Delta)", **sub)
     Tp = -b * b * T / 2.0
     heat = ClosedFormSolution(
         label="barrier similarity solution (heat picture)",
@@ -628,7 +589,7 @@ def barrier_solution(
         "4*exp(-2*alpha*tau/b^2)",
         str(c1),
         "(4*alpha/b^2)*exp(-2*alpha*tau/b^2)*x*phi",
-    ).subs({"alpha": ex.num(alpha), "b": ex.num(b)})
+    ).subs({"alpha": alpha, "b": b})
     return BarrierSolution(heath=heath, heat=heat, spec=spec, generator=gen)
 
 
@@ -651,9 +612,8 @@ def example_A22(a: float, b: float, c3: float) -> ClosedFormSolution:
     an arbitrary-function slot (trigonometric profile instance)."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    sub = {"a": ex.num(a), "b": ex.num(b), "c3": ex.num(c3)}
-    u = ex.subs(_parse(_A22_U), sub)
-    f = ex.subs(_parse(_A22_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = _fill(_A22_U, a=a, b=b, c3=c3)
+    f = _fill(_A22_F, a=a, b=b)
     return ClosedFormSolution(
         label="similarity solution: scaling algebra with secant profile",
         picture="heath",
@@ -684,9 +644,8 @@ def example_A359(a: float, b: float, c1: float) -> ClosedFormSolution:
     instance); has a moving pole at x = 6 c1 - 3 b^2 t."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    sub = {"a": ex.num(a), "b": ex.num(b), "c1": ex.num(c1)}
-    u = ex.subs(_parse(_A359_U), sub)
-    f = ex.subs(_parse(_A359_F), {"a": ex.num(a), "b": ex.num(b)})
+    u = _fill(_A359_U, a=a, b=b, c1=c1)
+    f = _fill(_A359_F, a=a, b=b)
     return ClosedFormSolution(
         label="similarity solution: quadratic source with moving pole",
         picture="heath",

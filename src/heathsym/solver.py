@@ -34,7 +34,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import expr as ex
 from .expr import Expr
-from .model import CoordinateMap, HeatSourceModel, parse_if_str
+from .lie import parse_xtu
+from .model import CoordinateMap, HeatSourceModel
 from .solutions import BarrierSpec
 
 _BLOWUP = 1e12
@@ -163,7 +164,7 @@ class Snapshots(list):
 def _compile_field(f: Expr | str, names: tuple[str, ...]) -> tuple[Expr, Callable]:
     """``f`` in the internal (x, t, u) names, and its compiled function of
     ``names``; a refinement study asks for the same fields at every level."""
-    e = ex.rename(parse_if_str(f), {"phi": "u", "tau": "t"})
+    e = parse_xtu(f)
     extra = ex.free_symbols(e) - set(names)
     if extra:
         raise ValueError(f"expression may only contain {names}; found {sorted(extra)}")
@@ -362,7 +363,6 @@ def _barrier_fn(H: Expr, R: Expr, a: float, b: float) -> tuple[tuple, Callable]:
     """(H, phi on the barrier) in t, and their compiled function, with the
     original-picture datum R mapped to the heat picture:
     phi = exp(-(a H + R)/b^2)."""
-    H, R = (ex.rename(e, {"tau": "t"}) for e in (H, R))
     to_phi = CoordinateMap.heath_heat(a, b).forward[2]
     exprs = (H, ex.subs(to_phi, {"x": H, "u": R}))
     return exprs, ex.compile_exprs(exprs, ("t",))

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import shlex
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +229,14 @@ def test_converge_reports_min_phi_and_lambda(capsys):
     assert data["lam"] == pytest.approx([0.7225, 1.445, 2.89], rel=1e-12)
 
 
+def test_converge_parse_error_exit_2(capsys):
+    model = json.dumps({"fhat": "0*phi", "exact": "sin(x"})
+    code, out, err = run(capsys, "converge", "--model", model, "--grid", SIN_GRID,
+                         "--params", '{"levels": [16, 32, 64]}')
+    assert code == 2 and out == ""
+    assert err == "error: expression parse error: expected ')' (at position 5)\n"
+
+
 def test_converge_needs_levels(capsys):
     code, _, err = run(
         capsys, "converge", "--model", SIN_MODEL, "--grid", SIN_GRID,
@@ -279,3 +289,19 @@ def test_solve_domain_violation_exit_3(capsys):
     code, _, err = run(capsys, "converge", "--model", model, "--grid", grid,
                        "--params", '{"levels": [16, 32, 64]}')
     assert code == 3 and "'ln(-1/2 + x)'" in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the README's "Command line" examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("heathsym ")]
+
+
+def test_readme_examples_exit_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 7
+    codes = {" ".join(argv[:2]): run(capsys, *argv)[0] for argv in commands}
+    assert codes == dict.fromkeys(codes, 0)
