@@ -370,7 +370,10 @@ def _model_case(desc: dict):
     model descriptor with keys fhat, exact, and optional barrier."""
     if "fhat" not in desc:
         raise CliError("model descriptor needs key 'fhat'")
-    model = HeatSourceModel(desc["fhat"])
+    try:
+        model = HeatSourceModel(desc["fhat"])
+    except ValueError as e:
+        raise CliError(str(e))
     exact = desc.get("exact")
     barrier = None
     if "barrier" in desc:
@@ -400,7 +403,7 @@ def cmd_solve(args) -> int:
     if barrier is not None:
         if exact is None:
             raise CliError("barrier runs need 'exact' reference data")
-        snaps = sv.solve_barrier(model, barrier, grid, scheme, exact)
+        march = lambda: sv.solve_barrier(model, barrier, grid, scheme, exact)
         mask = lambda tau: sv.barrier_mask(barrier, grid, tau)
     else:
         init = desc.get("init", None)
@@ -409,8 +412,12 @@ def cmd_solve(args) -> int:
         if init is None:
             init = ex.substitute(parse_xtu(exact), "t", ex.num(grid.tau0))
         boundary = desc.get("boundary", exact)
-        snaps = sv.solve(model, init, grid, scheme, boundary=boundary)
+        march = lambda: sv.solve(model, init, grid, scheme, boundary=boundary)
         mask = None
+    try:
+        snaps = march()
+    except ValueError as e:  # the model descriptor does not fit the run
+        raise CliError(str(e))
 
     summary: dict = {
         "grid": {"nx": grid.nx, "ntau": grid.ntau, "h": grid.h, "k": grid.k},

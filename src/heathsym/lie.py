@@ -40,11 +40,17 @@ def heat_str(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class Generator:
-    """Infinitesimal generator xi1*d/dx + xi2*d/dt + eta*d/du."""
+    """Infinitesimal point generator xi1*d/dx + xi2*d/dt + eta*d/du: the
+    coefficients are functions of (x, t, u) and parameters only."""
 
     xi1: Expr
     xi2: Expr
     eta: Expr
+
+    def __post_init__(self):
+        jetlike = self.free_parameters() & set(JET_SYMBOLS)
+        if jetlike:
+            raise ValueError(f"a point generator must not contain {sorted(jetlike)}")
 
     @classmethod
     def parse(cls, xi1: str, xi2: str, eta: str) -> "Generator":
@@ -63,9 +69,8 @@ class Generator:
 
     def apply(self, f: Expr) -> Expr:
         """First-order action on a function of (x, t, u)."""
-        return (
-            self.xi1 * ex.diff(f, "x") + self.xi2 * ex.diff(f, "t") + self.eta * ex.diff(f, "u")
-        )
+        f_x, f_t, f_u, *_ = _jets(f)
+        return self.xi1 * f_x + self.xi2 * f_t + self.eta * f_u
 
     def free_parameters(self) -> set[str]:
         names = ex.free_symbols(self.xi1) | ex.free_symbols(self.xi2) | ex.free_symbols(self.eta)
@@ -96,41 +101,58 @@ class EvolutionPDE:
             raise ValueError("rhs does not depend on u_xx; equation is not parabolic")
 
 
-def _total_x(f: Expr) -> Expr:
-    """Total x-derivative on the jet, for f(x,t,u,u_x,u_t,u_xx)."""
-    return (
-        ex.diff(f, "x")
-        + ex.sym("u_x") * ex.diff(f, "u")
-        + ex.sym("u_xx") * ex.diff(f, "u_x")
-        + ex.sym("u_xt") * ex.diff(f, "u_t")
-        + ex.sym("u_xxx") * ex.diff(f, "u_xx")
+@functools.lru_cache(maxsize=64)
+def _jets(f: Expr) -> tuple[Expr, ...]:
+    """f_x, f_t, f_u, f_xx, f_xu, f_uu: the partials of a function of
+    (x, t, u) that the second prolongation of a point generator needs."""
+    f_x, f_u = ex.diff(f, "x"), ex.diff(f, "u")
+    return f_x, ex.diff(f, "t"), f_u, ex.diff(f_x, "x"), ex.diff(f_x, "u"), ex.diff(f_u, "u")
+
+
+def _prolong(g: Generator, u_t: Expr, u_xt: Expr) -> tuple[Expr, Expr, Expr]:
+    """eta^x, eta^t and eta^xx of a point generator, in closed form from the
+    partials of xi1, xi2 and eta up to order 2 (Olver, Applications of Lie
+    Groups to Differential Equations, Thm 2.36), with the given expressions
+    standing for u_t and u_xt."""
+    X_x, X_t, X_u, X_xx, X_xu, X_uu = _jets(g.xi1)
+    T_x, T_t, T_u, T_xx, T_xu, T_uu = _jets(g.xi2)
+    E_x, E_t, E_u, E_xx, E_xu, E_uu = _jets(g.eta)
+    u_x, u_xx = ex.sym("u_x"), ex.sym("u_xx")
+    eta_x = E_x + (E_u - X_x) * u_x - T_x * u_t - X_u * u_x**2 - T_u * u_x * u_t
+    eta_t = E_t + (E_u - T_t) * u_t - X_t * u_x - X_u * u_x * u_t - T_u * u_t**2
+    eta_xx = ex.add(
+        E_xx, (2 * E_xu - X_xx) * u_x, -T_xx * u_t, (E_uu - 2 * X_xu) * u_x**2,
+        -2 * T_xu * u_x * u_t, -X_uu * u_x**3, -T_uu * u_x**2 * u_t,
+        (E_u - 2 * X_x) * u_xx, -2 * T_x * u_xt, -3 * X_u * u_x * u_xx,
+        -T_u * u_t * u_xx, -2 * T_u * u_x * u_xt,
     )
-
-
-def _total_t(f: Expr) -> Expr:
-    return ex.diff(f, "t") + ex.sym("u_t") * ex.diff(f, "u") + ex.sym("u_xt") * ex.diff(f, "u_x")
+    return eta_x, eta_t, eta_xx
 
 
 def prolong2(g: Generator) -> dict[str, Expr]:
-    """Second-prolongation coefficients eta_x, eta_t, eta_xx of a generator."""
-    u_x, u_t, u_xx, u_xt = (ex.sym(s) for s in ("u_x", "u_t", "u_xx", "u_xt"))
-    eta_x = _total_x(g.eta) - u_x * _total_x(g.xi1) - u_t * _total_x(g.xi2)
-    eta_t = _total_t(g.eta) - u_x * _total_t(g.xi1) - u_t * _total_t(g.xi2)
-    eta_xx = _total_x(eta_x) - u_xx * _total_x(g.xi1) - u_xt * _total_x(g.xi2)
+    """Second-prolongation coefficients eta_x, eta_t, eta_xx of a point
+    generator by the closed form of `_prolong`, with u_t and u_xt free."""
+    eta_x, eta_t, eta_xx = _prolong(g, ex.sym("u_t"), ex.sym("u_xt"))
     return {"eta_x": eta_x, "eta_t": eta_t, "eta_xx": eta_xx}
+
+
+@functools.lru_cache(maxsize=8)
+def _rhs_jets(pde: EvolutionPDE) -> tuple[tuple[Expr, ...], Expr]:
+    """The rhs's partials in x, t, u, u_x and u_xx, and its total
+    x-derivative."""
+    partials = tuple(ex.diff(pde.rhs, v) for v in ("x", "t", "u", "u_x", "u_xx"))
+    r_x, _, r_u, r_ux, r_uxx = partials
+    u_x, u_xx, u_xxx = (ex.sym(s) for s in ("u_x", "u_xx", "u_xxx"))
+    return partials, r_x + u_x * r_u + u_xx * r_ux + u_xxx * r_uxx
 
 
 def symmetry_condition_terms(pde: EvolutionPDE, g: Generator) -> list[Expr]:
     """The summands of the linearized symmetry condition applied to
-    Delta = rhs - u_t, restricted to the solution manifold.
-
-    The on-manifold substitution replaces u_xt by the total x-derivative of
-    the rhs first and u_t by the rhs afterwards; the remaining free jet
-    coordinates are x, t, u, u_x, u_xx, u_xxx.
-    """
-    rhs = pde.rhs
-    partials = [ex.diff(rhs, v) for v in ("x", "t", "u", "u_x", "u_xx")]
-    return _on_manifold(g, rhs, partials, _total_x(rhs))  # _total_x(rhs) has no u_t, u_xt
+    Delta = rhs - u_t, restricted to the solution manifold: u_t is the rhs
+    and u_xt its total x-derivative, so the free jet coordinates are x, t,
+    u, u_x, u_xx, u_xxx."""
+    partials, d_x_rhs = _rhs_jets(pde)
+    return _on_manifold(g, pde.rhs, partials, d_x_rhs)
 
 
 # The source of the class u_t = u_xx + F(x, t, u) and its partials, as the
@@ -151,23 +173,12 @@ def class_condition_terms(g: Generator) -> list[Expr]:
 
 def _on_manifold(g: Generator, rhs: Expr, partials: Sequence[Expr], u_xt: Expr) -> list[Expr]:
     """The six summands, from the rhs's partials in x, t, u, u_x and u_xx
-    and the total x-derivative of the rhs, which replaces u_xt."""
-    pro = prolong2(g)
+    and its total x-derivative: the closed form of `_prolong` is built with
+    the rhs for u_t and that derivative for u_xt."""
+    eta_x, eta_t, eta_xx = _prolong(g, rhs, u_xt)
     d_x, d_t, d_u, d_ux, d_uxx = partials
-    terms = [
-        g.xi1 * d_x,
-        g.xi2 * d_t,
-        g.eta * d_u,
-        pro["eta_x"] * d_ux,
-        pro["eta_xx"] * d_uxx,
-        ex.mul(-1, pro["eta_t"]),
-    ]
-    out = []
-    for term in terms:
-        term = ex.substitute(term, "u_xt", u_xt)
-        term = ex.substitute(term, "u_t", rhs)
-        out.append(term)
-    return out
+    return [g.xi1 * d_x, g.xi2 * d_t, g.eta * d_u, eta_x * d_ux, eta_xx * d_uxx,
+            ex.mul(-1, eta_t)]
 
 
 @dataclass

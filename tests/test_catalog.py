@@ -232,15 +232,18 @@ def test_class_condition_matches_derived_condition():
 def test_match_fhat_derives_no_condition_on_a_later_call(monkeypatch):
     match_fhat("phi^2 + sin(x)*phi^3", n=3, seed=0)
     calls = []
-    prolong2 = lie.prolong2
+    prolong = lie._prolong
 
-    def counting(g):
+    def counting(g, u_t, u_xt):
         calls.append(g)
-        return prolong2(g)
+        return prolong(g, u_t, u_xt)
 
-    monkeypatch.setattr(lie, "prolong2", counting)
+    monkeypatch.setattr(lie, "_prolong", counting)
     match_fhat("-exp(3*x)*phi^2 - (81/4)*exp(-3*x)", n=3, seed=1)
     assert calls == []
+    # the counter sees every derivation of a class condition
+    lie.class_condition_terms(lie.Generator.parse("1", "0", "0"))
+    assert len(calls) == 1
 
 
 def test_admissible_verdicts():

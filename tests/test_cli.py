@@ -237,6 +237,17 @@ def test_converge_parse_error_exit_2(capsys):
     assert err == "error: expression parse error: expected ')' (at position 5)\n"
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"fhat": "y*phi", "exact": "sin(x)"}, "fhat may only contain x and phi; found ['y']"),
+    ({"fhat": "0*phi", "init": "sin(x)"}, "exact-dirichlet boundary mode needs boundary data"),
+    ({"fhat": "0*phi", "exact": "sin(x)+y"}, "expression may only contain ('x',); found ['y']"),
+], ids=["fhat-symbol", "no-boundary", "exact-symbol"])
+def test_solve_bad_model_descriptor_exit_2(capsys, model, message):
+    code, out, err = run(capsys, "solve", "--model", json.dumps(model), "--grid", SIN_GRID)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_converge_needs_levels(capsys):
     code, _, err = run(
         capsys, "converge", "--model", SIN_MODEL, "--grid", SIN_GRID,

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from heathsym import catalog as cat
 from heathsym import expr as ex
 from heathsym.lie import (
+    CONDITION_ARGS,
     DEFAULT_BOX,
     EvolutionPDE,
     Generator,
@@ -17,6 +20,7 @@ from heathsym.lie import (
     solution_invariance_residual,
     symmetry_condition_terms,
 )
+from heathsym.model import HeatSourceModel, heat_to_heath
 
 HEAT = EvolutionPDE(ex.parse("u_xx"))  # phi_tau = phi_xx, zero source
 
@@ -152,3 +156,97 @@ def test_check_symmetry_matches_point_by_point_reference():
     assert skipped > 10 and rep.skipped_domain_errors == skipped
     assert rep.max_abs == max(values)
     assert rep.n_points == 40 and rep.points_failed == sum(v >= 1e-8 for v in values)
+
+
+@pytest.mark.parametrize("name", ["u_x", "u_t", "u_xx", "u_xt", "u_xxx"])
+def test_generator_rejects_jet_coordinates(name):
+    # the closed-form prolongation holds for point generators only
+    with pytest.raises(ValueError, match=f"must not contain \\['{name}'\\]"):
+        Generator.parse("x", "0", f"u*{name}")
+    with pytest.raises(ValueError, match=name):
+        Generator(ex.sym(name), ex.num(0), ex.num(0))
+
+
+# -- an independent reference for the prolongation ---------------------------
+
+def _to_sympy(sympy, e):
+    """The sympy expression of ``e``, every symbol real."""
+    if e.op == "num":
+        v = e.args[0]
+        return sympy.Rational(v.numerator, v.denominator) if isinstance(v, Fraction) else sympy.Float(v)
+    if e.op == "sym":
+        return sympy.Symbol(e.args[0], real=True)
+    if e.op == "add":
+        return sympy.Add(*[_to_sympy(sympy, c) for c in e.args])
+    if e.op == "mul":
+        return sympy.Mul(*[_to_sympy(sympy, c) for c in e.args])
+    if e.op == "pow":
+        return sympy.Pow(_to_sympy(sympy, e.args[0]), _to_sympy(sympy, e.args[1]))
+    fname, arg = e.args
+    return ({"ln": sympy.log, "abs": sympy.Abs}.get(fname) or getattr(sympy, fname))(
+        _to_sympy(sympy, arg))
+
+
+def _reference_terms(sympy, pde, g):
+    """The six summands of pr2 V(Delta) on Delta = rhs - u_t = 0, by total
+    derivatives of the characteristic Q = eta - xi1 u_x - xi2 u_t (Olver,
+    GTM 107, Thm 2.36): eta^J = D_J Q + xi1 u_{J,x} + xi2 u_{J,t}."""
+    x, t, u, u_x, u_t, u_xx, u_xt, u_tt, u_xxx, u_xxt = sympy.symbols(
+        "x t u u_x u_t u_xx u_xt u_tt u_xxx u_xxt", real=True)
+
+    def D_x(f):
+        return (f.diff(x) + u_x * f.diff(u) + u_xx * f.diff(u_x) + u_xt * f.diff(u_t)
+                + u_xxx * f.diff(u_xx) + u_xxt * f.diff(u_xt))
+
+    def D_t(f):
+        return f.diff(t) + u_t * f.diff(u) + u_xt * f.diff(u_x) + u_tt * f.diff(u_t)
+
+    rhs, xi1, xi2, eta = (_to_sympy(sympy, e) for e in (pde.rhs, g.xi1, g.xi2, g.eta))
+    Q = eta - xi1 * u_x - xi2 * u_t
+    eta_x = D_x(Q) + xi1 * u_xx + xi2 * u_xt
+    eta_t = D_t(Q) + xi1 * u_xt + xi2 * u_tt
+    eta_xx = D_x(D_x(Q)) + xi1 * u_xxx + xi2 * u_xxt
+    # u_tt and u_xxt cancel from eta^t and eta^xx
+    assert all(sympy.expand(eta_j.diff(s)) == 0 for eta_j in (eta_t, eta_xx) for s in (u_tt, u_xxt))
+    terms = [xi1 * rhs.diff(x), xi2 * rhs.diff(t), eta * rhs.diff(u), eta_x * rhs.diff(u_x),
+             eta_xx * rhs.diff(u_xx), -eta_t]
+    on_manifold = {u_tt: 0, u_xxt: 0, u_xt: D_x(rhs), u_t: rhs}
+    terms = [term.subs(on_manifold, simultaneous=True) for term in terms]
+    assert not set().union(*(term.free_symbols for term in terms)) & {u_t, u_xt}
+    return terms
+
+
+def _prolongation_cases():
+    heat = [Generator.parse(*c) for c in (
+        ("1", "0", "0"), ("0", "1", "0"), ("0", "0", "phi"), ("x", "2*tau", "0"),
+        ("2*tau", "0", "-x*phi"), ("4*tau*x", "4*tau^2", "-(x^2 + 2*tau)*phi"))]
+    cases = [(f"heat-{i}", HEAT, g, {}) for i, g in enumerate(heat)]
+    sym = cat._symbolic("A_3_5_1", "none", (), None)
+    cases += [(f"A_3_5_1-{i}", sym.pde, g, dict(cat.get_spec("A_3_5_1").defaults))
+              for i, g in enumerate(sym.generators)]
+    # u_x^2 and a u_xx coefficient in the rhs; xi2 depends on x and u, so
+    # every partial of the closed form is nonzero
+    heath = heat_to_heath(HeatSourceModel("phi^2 + sin(x)*phi"), 0.8, 1.2).pde()
+    g = Generator.parse("x*u^2 + sin(t)", "t*u + x^2*u^2", "exp(x)*u^3 + t*x")
+    return cases + [("heath", heath, g, {})]
+
+
+@pytest.mark.parametrize("case", _prolongation_cases(), ids=lambda c: c[0])
+def test_symmetry_condition_terms_match_a_sympy_derivation(case):
+    sympy = pytest.importorskip("sympy")
+    _, pde, g, params = case
+    want = _reference_terms(sympy, pde, g)
+    got = symmetry_condition_terms(pde, g)
+    assert len(got) == len(want) == 6
+
+    args = CONDITION_ARGS + tuple(sorted(params))
+    rng = np.random.default_rng(11)
+    cols = [rng.uniform(*DEFAULT_BOX[s], size=50) for s in CONDITION_ARGS]
+    cols += [np.full(50, params[p]) for p in sorted(params)]
+    values, mask = ex.compile_exprs(got, args)(*cols)
+    assert not np.asarray(mask).any()
+    ref = sympy.lambdify([sympy.Symbol(a, real=True) for a in args], want, "numpy")(*cols)
+    for k, (v, w) in enumerate(zip(values, ref)):
+        v, w = np.broadcast_to(v, (50,)), np.broadcast_to(np.asarray(w, dtype=float), (50,))
+        err = np.abs(v - w) / np.maximum(1.0, np.abs(w))
+        assert err.max() <= 1e-12, (k, float(err.max()))
