@@ -48,7 +48,7 @@ from .lie import (
     commutator,
     parse_xtu,
 )
-from .model import HeatSourceModel, vanishes
+from .model import vanishes
 
 
 class InadmissibleParamsError(ValueError):
@@ -165,9 +165,6 @@ class CatalogEntry:
     generators: tuple[Generator, ...]
     flags: tuple[str, ...]
     box: Mapping[str, tuple[float, float]]
-
-    def model(self) -> HeatSourceModel:
-        return HeatSourceModel(self.fhat)
 
     def pde(self) -> EvolutionPDE:
         return EvolutionPDE(ex.sym("u_xx") + self.fhat)

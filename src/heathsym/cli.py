@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Subcommands
------------
-catalog list|verify   symmetry-catalog inspection and numerical verification
-transform             move a model between the original and heat pictures
-check                 residual/boundary checks for the named closed forms
-solve                 finite-difference run (fixed strip or moving barrier)
-converge              refinement study with observed convergence orders
+Subcommands and their options (each takes only the options it reads)
+--------------------------------------------------------------------
+catalog list|verify   symmetry-catalog inspection and numerical verification;
+                      --variant --params --out --tol --seed --samples
+transform             move a model between the original and heat pictures;
+                      --model --direction --out
+check                 residual/boundary checks for the named closed forms;
+                      --params --out --tol
+solve                 finite-difference run (fixed strip or moving barrier);
+                      --model --grid --scheme --stride --out
+converge              refinement study with observed convergence orders;
+                      --model --grid --scheme --params --out
 
 Conventions: JSON for structured input/output, CSV for fields.  Model and
 grid descriptors are inline JSON or a path to a JSON file.  Identical
@@ -40,7 +45,7 @@ from .catalog import (
     verify_entry,
 )
 from .expr import ParseError
-from .lie import heat_str, parse_xtu
+from .lie import UnsamplableError, heat_str, parse_xtu
 from .model import (
     DegenerateSourceWarning,
     HeathModel,
@@ -162,6 +167,10 @@ def cmd_catalog(args) -> int:
     except InadmissibleParamsError as e:
         spec = get_spec(args.id)
         raise CliError(f"{e}; admissibility: {spec.constraint_text()}")
+    except UnsamplableError as e:
+        raise CliError(f"domain violation: {e}", EXIT_DOMAIN)
+    except (TypeError, ValueError) as e:  # unknown or non-numeric params, n < 1
+        raise CliError(str(e))
     payload = {
         "id": report.id,
         "sign_variant": report.sign_variant,
@@ -324,6 +333,8 @@ def cmd_check(args) -> int:
             )
     except SampleDomainError as e:
         raise CliError(f"domain violation: {e}", EXIT_DOMAIN)
+    except (TypeError, ValueError) as e:  # params the closed form rejects
+        raise CliError(str(e))
     checks["name"] = args.name
     checks["tolerance"] = tol
     checks["passed"] = ok
@@ -404,7 +415,6 @@ def cmd_solve(args) -> int:
         if exact is None:
             raise CliError("barrier runs need 'exact' reference data")
         march = lambda: sv.solve_barrier(model, barrier, grid, scheme, exact)
-        mask = lambda tau: sv.barrier_mask(barrier, grid, tau)
     else:
         init = desc.get("init", None)
         if init is None and exact is None:
@@ -413,7 +423,6 @@ def cmd_solve(args) -> int:
             init = ex.substitute(parse_xtu(exact), "t", ex.num(grid.tau0))
         boundary = desc.get("boundary", exact)
         march = lambda: sv.solve(model, init, grid, scheme, boundary=boundary)
-        mask = None
     try:
         snaps = march()
     except ValueError as e:  # the model descriptor does not fit the run
@@ -427,7 +436,7 @@ def cmd_solve(args) -> int:
         "nonpositive_nodes": sum(int(np.count_nonzero(s.phi <= 0.0)) for s in snaps),
     }
     if exact is not None:
-        (norm,) = sv.error_norms(snaps[-1:], exact, grid, mask=mask)
+        (norm,) = sv.error_norms(snaps[-1:], exact, grid)
         summary["final_Linf"] = norm["Linf"]
         summary["final_L2"] = norm["L2"]
     if args.out:
@@ -472,52 +481,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--params", help="JSON object (inline or file path)")
-        p.add_argument("--out", help="write the JSON/CSV artifact here")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default {DEFAULT_SEED}; "
-                            "HEATHSYM_SEED overrides the default)")
-        p.add_argument("--samples", type=int, default=100,
-                       help="sample count for randomized verification")
+    # Each subcommand registers only the options it reads.
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", help="JSON object (inline or file path)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON/CSV artifact here")
 
-    pc = sub.add_parser("catalog", help="list or verify catalog entries")
+    pc = sub.add_parser("catalog", parents=[params, out],
+                        help="list or verify catalog entries")
     pc.add_argument("action", choices=["list", "verify"])
     pc.add_argument("id", nargs="?", help="entry id for verify")
     pc.add_argument("--variant", choices=["plus", "minus"], default="plus")
-    common(pc)
-    pc.set_defaults(fn=cmd_catalog, default_tol=1e-8)
+    pc.add_argument("--tol", type=float, default=1e-8, help="tolerance (default %(default)g)")
+    pc.add_argument("--seed", type=int, default=None,
+                    help=f"RNG seed (default {DEFAULT_SEED}; "
+                         "HEATHSYM_SEED overrides the default)")
+    pc.add_argument("--samples", type=int, default=100,
+                    help="sample count for randomized verification")
+    pc.set_defaults(fn=cmd_catalog)
 
-    pt = sub.add_parser("transform", help="move a model between pictures")
+    pt = sub.add_parser("transform", parents=[out], help="move a model between pictures")
     pt.add_argument("--model", required=True,
                     help="JSON model descriptor (inline or file path)")
     pt.add_argument("--direction", choices=["to-heat", "to-heath"],
                     default="to-heat")
-    common(pt)
-    pt.set_defaults(fn=cmd_transform, default_tol=1e-9)
+    pt.set_defaults(fn=cmd_transform)
 
-    pk = sub.add_parser("check", help="check a named closed-form solution")
+    pk = sub.add_parser("check", parents=[params, out],
+                        help="check a named closed-form solution")
     pk.add_argument("name", help="terminal | barrier | a22 | a359")
-    common(pk)
-    pk.set_defaults(fn=cmd_check, default_tol=1e-7)
+    pk.add_argument("--tol", type=float, default=1e-7, help="tolerance (default %(default)g)")
+    pk.set_defaults(fn=cmd_check)
 
-    ps = sub.add_parser("solve", help="finite-difference run")
+    ps = sub.add_parser("solve", parents=[out], help="finite-difference run")
     ps.add_argument("--model", required=True)
     ps.add_argument("--grid", required=True)
     ps.add_argument("--scheme", help="scheme name or JSON config")
     ps.add_argument("--stride", type=int, default=1,
                     help="snapshot stride for CSV output")
-    common(ps)
-    ps.set_defaults(fn=cmd_solve, default_tol=1e-7)
+    ps.set_defaults(fn=cmd_solve)
 
-    pv = sub.add_parser("converge", help="refinement study")
+    pv = sub.add_parser("converge", parents=[params, out], help="refinement study")
     pv.add_argument("--model", required=True)
     pv.add_argument("--grid", required=True)
     pv.add_argument("--scheme", help="scheme name or JSON config")
-    common(pv)
-    pv.set_defaults(fn=cmd_converge, default_tol=1e-7)
+    pv.set_defaults(fn=cmd_converge)
 
     return ap
 
@@ -525,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.tol is None:
-        args.tol = args.default_tol
     # The errors any command may raise, each with its exit code; a command
     # turns its own ValueErrors into CliError, as what they mean differs.
     try:

@@ -159,10 +159,6 @@ def sym(name: str) -> Expr:
     return Expr("sym", (name,))
 
 
-def symbols(names: str) -> list[Expr]:
-    return [sym(n) for n in names.replace(",", " ").split()]
-
-
 ZERO = num(0)
 ONE = num(1)
 
@@ -290,10 +286,6 @@ def exp(a: ExprLike) -> Expr:
 
 def ln(a: ExprLike) -> Expr:
     return call("ln", a)
-
-
-def sqrt(a: ExprLike) -> Expr:
-    return call("sqrt", a)
 
 
 # -- queries ---------------------------------------------------------------
@@ -536,13 +528,7 @@ def simplify(e: Expr) -> Expr:
             base, expo = walk(node.args[0]), walk(node.args[1])
             if base.op == "call" and base.args[0] == "exp":
                 r = exp(mul(base.args[1], expo))
-            elif base.op == "pow" and _is_num(base.args[1]) and _is_num(expo):
-                bv, ev = _numval(base.args[1]), _numval(expo)
-                if isinstance(ev, Fraction) and ev.denominator == 1:
-                    r = pow_(base.args[0], num(bv * ev))
-                else:
-                    r = pow_(base, expo)
-            else:
+            else:  # pow_ folds (u^c1)^c2 for integer c2
                 r = pow_(base, expo)
         else:
             fname, arg = node.args

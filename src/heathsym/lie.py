@@ -56,12 +56,6 @@ class Generator:
     def parse(cls, xi1: str, xi2: str, eta: str) -> "Generator":
         return cls(parse_xtu(xi1), parse_xtu(xi2), parse_xtu(eta))
 
-    def __add__(self, other: "Generator") -> "Generator":
-        return Generator(self.xi1 + other.xi1, self.xi2 + other.xi2, self.eta + other.eta)
-
-    def scale(self, c) -> "Generator":
-        return Generator(ex.mul(c, self.xi1), ex.mul(c, self.xi2), ex.mul(c, self.eta))
-
     def subs(self, mapping: Mapping[str, object]) -> "Generator":
         return Generator(
             ex.subs(self.xi1, mapping), ex.subs(self.xi2, mapping), ex.subs(self.eta, mapping)
@@ -240,8 +234,9 @@ def check_symmetry(pde: EvolutionPDE, g: Generator, n: int = 100, seed: int = 0,
         full_box.update(box)
     fn, argnames, n_terms = _condition(pde, g)
     extra = argnames[len(CONDITION_ARGS):]
-    if extra and not params:
-        raise ValueError(f"unbound parameters {list(extra)}; pass params=")
+    missing = [name for name in extra if name not in (params or {})]
+    if missing:
+        raise ValueError(f"unbound parameters {missing}; pass params=")
     fixed = [float(params[name]) for name in extra]
     lows = [full_box[s][0] for s in CONDITION_ARGS]
     highs = [full_box[s][1] for s in CONDITION_ARGS]

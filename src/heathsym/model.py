@@ -194,9 +194,7 @@ def apply_equivalence(h: HeatSourceModel, d0: float, d1: float, d3: float, d4: f
     Fpp = ex.substitute(ex.diff(F, "x", 2), "x", x_old)
     fhat_old = ex.subs(h.fhat, {"x": x_old, "u": phi_old})
     fhat_new = (ex.num(d1) * fhat_old + Fpp) / ex.num(d4) ** 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSourceWarning)
-        return HeatSourceModel(ex.simplify(fhat_new))
+    return HeatSourceModel(ex.simplify(fhat_new))
 
 
 def is_linearizable(m: HeathModel, tol: float = 1e-9) -> tuple[bool, Expr | None]:

@@ -7,7 +7,9 @@ explicit with a second-order Adams-Bashforth extrapolation after the first
 step).  Boundary data is taken from closed-form reference solutions
 (manufactured-solution methodology), which isolates the interior scheme error.
 
-The moving-barrier variant masks nodes behind the barrier curve.  The first
+The moving-barrier variant fills the nodes behind the barrier curve with the
+barrier datum, and each snapshot records the first node the march solved for,
+so the error norms and the inverse map see only the domain.  The first
 node right of the curve lies on the line through the datum on the curve and
 the next node's value at the same level; that relation is folded into the
 first row of the Crank-Nicolson matrix, and nodes the receding barrier
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -106,11 +108,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """The field at one time level, on all grid nodes.  Immutable; the
-    vector is checked finite, copied and frozen on construction."""
+    """The field at one time level, on all grid nodes.  ``lo`` is the first
+    node the march solved for: nodes lo-1 .. nx+1 lie in the domain, and
+    the nodes left of lo-1 hold the barrier datum.  Immutable; the vector
+    is checked finite, copied and frozen on construction."""
 
     tau: float
     phi: np.ndarray
+    lo: int = 1
 
     def __post_init__(self):
         arr = np.array(self.phi, dtype=float)
@@ -302,7 +307,7 @@ def _march(model, grid, scheme, phi, edges: _Edges) -> Snapshots:
         phi[-1] = edges.right[m]
         j_prev = j
         low = min(low, _level_min(phi, taus[m]))
-        snaps.append(FieldSnapshot(taus[m], phi))
+        snaps.append(FieldSnapshot(taus[m], phi, lo))
     if edges.fail is not None:
         edges.fail()
     if low <= 0.0:
@@ -433,37 +438,19 @@ def solve_barrier(
     return _march(model, grid, scheme, phi, _Edges(j, a, b, dv, right, fail))
 
 
-def barrier_mask(spec: BarrierSpec, grid: GridSpec, tau: float) -> np.ndarray:
-    """Boolean mask of nodes strictly inside the moving domain at ``tau``,
-    excluding the interpolated first interior node and the right boundary.
-    Raises BarrierExitsGridError where solve_barrier would."""
-    j, _, _, fail = _barrier_levels(spec, grid, np.array([float(tau)]))
-    if fail is not None:
-        fail()
-    mask = np.zeros(grid.nx + 2, dtype=bool)
-    mask[int(j[0]) + 1 : -1] = True
-    return mask
-
-
 def error_norms(
     snapshots: Sequence[FieldSnapshot],
     reference,
     grid: GridSpec,
-    mask: Callable[[float], np.ndarray] | None = None,
 ) -> list[dict]:
-    """Discrete Linf and L2 error per snapshot over interior nodes.
-
-    ``mask`` optionally restricts the norm to a tau-dependent node subset
-    (used for moving-barrier runs)."""
+    """Discrete Linf and L2 error per snapshot over the nodes it solved
+    for, lo .. nx: the interior of a fixed strip, the nodes right of the
+    barrier's tied node on a moving domain."""
     xs = grid.nodes()
     ref = _Field(reference, ("x", "t"))
     out = []
     for snap in snapshots:
-        if mask is None:
-            sel = np.zeros(xs.size, dtype=bool)
-            sel[1:-1] = True
-        else:
-            sel = mask(snap.tau)
+        sel = slice(snap.lo, -1)
         err = snap.phi[sel] - ref(xs[sel], snap.tau)
         linf = float(np.max(np.abs(err))) if err.size else 0.0
         l2 = float(math.sqrt(grid.h * float(np.sum(err * err))))
@@ -498,14 +485,10 @@ class ConvergenceCase:
         if self.barrier is None:
             init = _Field(self.exact, ("x", "t"))(g.nodes(), g.tau0)
             snaps = solve(self.model, init, g, self.scheme, boundary=self.exact)
-            norms = error_norms(snaps[-1:], self.exact, g)
         else:
             snaps = solve_barrier(self.model, self.barrier, g, self.scheme,
                                   self.exact)
-            spec = self.barrier
-            norms = error_norms(
-                snaps[-1:], self.exact, g, mask=lambda tau: barrier_mask(spec, g, tau)
-            )
+        norms = error_norms(snaps[-1:], self.exact, g)
         return {"error": norms[0]["Linf"], "min_phi": snaps.min_phi,
                 "lam": g.k / (g.h * g.h)}
 
@@ -549,15 +532,15 @@ def map_to_heath(
     grid: GridSpec,
     a: float,
     b: float,
-    mask: Callable[[float], np.ndarray] | None = None,
 ) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Map heat-picture snapshots back to the original picture:
-    t = -2 tau / b^2, u = -b^2 ln(phi) - a x.  Requires phi > 0 on the
-    selected nodes; returns (t, x-values, u-values) per snapshot."""
+    t = -2 tau / b^2, u = -b^2 ln(phi) - a x, on the nodes inside each
+    snapshot's domain, lo-1 .. nx+1 (every node of a fixed strip).  Requires
+    phi > 0 there; returns (t, x-values, u-values) per snapshot."""
     xs = grid.nodes()
     out = []
     for snap in snapshots:
-        sel = np.ones(xs.size, dtype=bool) if mask is None else mask(snap.tau)
+        sel = slice(snap.lo - 1, None)
         phi = snap.phi[sel]
         if np.min(phi) <= 0:
             raise ValueError(

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from heathsym import cli
 from heathsym.catalog import verify_entry
 from heathsym.cli import _atomic_write, main
+from heathsym.lie import UnsamplableError
 
 PI = math.pi
 SIN_MODEL = json.dumps(
@@ -246,6 +248,58 @@ def test_solve_bad_model_descriptor_exit_2(capsys, model, message):
     code, out, err = run(capsys, "solve", "--model", json.dumps(model), "--grid", SIN_GRID)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "verify", "A_4_4", "--params", '{"Z":1}'], "A_4_4: unknown parameters ['Z']"),
+    (["catalog", "verify", "A_4_4", "--params", '{"A":"one"}'],
+     "could not convert string to float: 'one'"),
+    (["catalog", "verify", "A_4_4", "--samples", "0"], "n must be >= 1"),
+    (["check", "terminal", "--params", '{"b":0}'], "b must be nonzero"),
+    (["check", "terminal", "--params", '{"a":"x"}'], "cannot use str as an expression"),
+    (["check", "barrier", "--params", '{"alpha":-1}'], "alpha must be positive"),
+    (["check", "a22", "--params", '{"c3":null}'], "cannot use NoneType as an expression"),
+], ids=["verify-unknown-param", "verify-text-param", "verify-no-samples", "terminal-b0",
+        "terminal-text-a", "barrier-alpha", "a22-null-c3"])
+def test_rejected_params_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_catalog_verify_unsamplable_exit_3(capsys, monkeypatch):
+    def unsamplable(*args, **kwargs):
+        raise UnsamplableError("could not sample enough jet points")
+
+    monkeypatch.setattr(cli, "verify_entry", unsamplable)
+    code, out, err = run(capsys, "catalog", "verify", "A_4_4")
+    assert code == 3 and out == ""
+    assert err == "error: domain violation: could not sample enough jet points\n"
+
+
+_BASE_ARGV = {
+    "transform": ["transform", "--model", '{"a":0,"b":1,"f":"u"}'],
+    "check": ["check", "terminal"],
+    "solve": ["solve", "--model", SIN_MODEL, "--grid", SIN_GRID],
+    "converge": ["converge", "--model", SIN_MODEL, "--grid", SIN_GRID,
+                 "--params", '{"levels":[16,32,64]}'],
+}
+_DROPPED = [("transform", "--params", "{}"), ("transform", "--tol", "1e-3"),
+            ("transform", "--seed", "1"), ("transform", "--samples", "5"),
+            ("check", "--seed", "1"), ("check", "--samples", "5"),
+            ("solve", "--params", "{}"), ("solve", "--tol", "1e-3"),
+            ("solve", "--seed", "1"), ("solve", "--samples", "5"),
+            ("converge", "--tol", "1e-3"), ("converge", "--seed", "1"),
+            ("converge", "--samples", "5")]
+
+
+@pytest.mark.parametrize("command, flag, value", _DROPPED,
+                         ids=[f"{c}{f}" for c, f, _ in _DROPPED])
+def test_options_a_subcommand_never_reads_exit_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(_BASE_ARGV[command] + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_converge_needs_levels(capsys):

@@ -55,6 +55,15 @@ def test_condition_undefined_on_whole_box_is_unsamplable():
         check_symmetry(pde, Generator.parse("0", "0", "phi"), n=20)
 
 
+def test_check_symmetry_names_unbound_parameters():
+    pde = EvolutionPDE(ex.parse("u_xx + x*u"))
+    g = Generator.parse("A", "B*t", "0")
+    with pytest.raises(ValueError, match=r"^unbound parameters \['B'\]; pass params=$"):
+        check_symmetry(pde, g, n=5, params={"A": 1.0})
+    with pytest.raises(ValueError, match=r"^unbound parameters \['A', 'B'\]; pass params=$"):
+        check_symmetry(pde, g, n=5)
+
+
 def test_source_breaks_scaling_symmetry():
     pde = EvolutionPDE(ex.parse("u_xx + u^2"))
     scaling = Generator.parse("x", "2*tau", "0")

@@ -197,10 +197,31 @@ def test_barrier_run_accuracy():
     bs, ref = _barrier_case()
     grid = sv.GridSpec(0.3, 2.5, 256, -0.5, 0.0, 400)
     snaps = sv.solve_barrier(bs.heat.model, bs.spec, grid, sv.SchemeConfig(), ref)
-    norms = sv.error_norms(
-        snaps, ref, grid, mask=lambda tau: sv.barrier_mask(bs.spec, grid, tau)
-    )
+    norms = sv.error_norms(snaps, ref, grid)
     assert norms[-1]["Linf"] < 1e-2
+
+
+def test_barrier_norms_cover_only_the_solved_nodes():
+    bs, ref = _barrier_case()
+    grid = sv.GridSpec(0.3, 2.5, 64, -0.5, 0.0, 100)
+    snaps = sv.solve_barrier(bs.heat.model, bs.spec, grid, sv.SchemeConfig(), ref)
+    j, _, _, fail = sv._barrier_levels(bs.spec, grid, grid.taus())
+    assert fail is None
+    xs = grid.nodes()
+    norms = sv.error_norms(snaps, ref, grid)
+    for m in (0, 50, len(snaps) - 1):
+        snap = snaps[m]
+        err = np.abs(snap.phi - bs.heat.evaluate(xs, snap.tau))
+        assert norms[m]["Linf"] == pytest.approx(err[j[m] + 1 : -1].max(), rel=1e-9)
+        assert err[1:-1].max() > 2 * norms[m]["Linf"]  # the fill behind the barrier
+    assert [s.lo for s in snaps] == (j + 1).tolist()
+
+
+def test_fixed_strip_snapshots_start_at_node_1():
+    g = sv.GridSpec(0.0, 1.0, 16, 0.0, 0.1, 10)
+    snaps = sv.solve(HEAT0, sin_init, g, sv.SchemeConfig(), boundary=SIN_EXACT)
+    assert {s.lo for s in snaps} == {1}
+    assert sv.FieldSnapshot(0.0, np.ones(4)).lo == 1
 
 
 def test_barrier_moving_order():
@@ -227,8 +248,7 @@ def test_map_back_to_original_picture():
     bs, ref = _barrier_case()
     grid = sv.GridSpec(0.3, 2.5, 128, -0.5, 0.0, 200)
     snaps = sv.solve_barrier(bs.heat.model, bs.spec, grid, sv.SchemeConfig(), ref)
-    mask = lambda tau: sv.barrier_mask(bs.spec, grid, tau)
-    mapped = sv.map_to_heath(snaps, grid, 1.0, 1.0, mask=mask)
+    mapped = sv.map_to_heath(snaps, grid, 1.0, 1.0)
     tv, xs, us = mapped[-1]
     worst = max(
         abs(us[i] - bs.heath.evaluate(float(xs[i]), tv)) for i in range(xs.size)
