@@ -7,11 +7,15 @@ catalog list|verify   symmetry-catalog inspection and numerical verification;
 transform             move a model between the original and heat pictures;
                       --model --direction --out
 check                 residual/boundary checks for the named closed forms;
-                      --params --out --tol
+                      --params (keys and defaults: CHECK_PARAMS) --out --tol
 solve                 finite-difference run (fixed strip or moving barrier);
                       --model --grid --scheme --stride --out
 converge              refinement study with observed convergence orders;
-                      --model --grid --scheme --params --out
+                      --model --grid --scheme --params ({"levels": [...]}) --out
+
+An option a subcommand does not take exits 2 with that subcommand's usage;
+a --params key that check or converge does not read exits 2 naming the keys
+they accept.
 
 Conventions: JSON for structured input/output, CSV for fields.  Model and
 grid descriptors are inline JSON or a path to a JSON file.  Identical
@@ -244,12 +248,30 @@ def cmd_transform(args) -> int:
 
 # -- check ------------------------------------------------------------------
 
+# The parameters each closed form takes, with their defaults.
+CHECK_PARAMS = {
+    "terminal": {"a": 1.0, "b": 1.0, "T": 1.0},
+    "barrier": {"a": 1.0, "b": 1.0, "alpha": 0.05, "beta": 0.9, "K": 100.0, "T": 1.0,
+                "A": 1.0},
+    "a22": {"a": 1.0, "b": 1.0, "c3": 0.0},
+    "a359": {"a": 1.0, "b": 1.0, "c1": -1.0},
+}
+
+
+def _known_params(text: str | None, accepted, what: str) -> dict:
+    """The --params object, with every key one of ``accepted``."""
+    p = _load_descriptor(text) if text else {}
+    unknown = sorted(set(p) - set(accepted))
+    if unknown:
+        raise CliError(f"{what}: unknown parameters {unknown}; accepted: {list(accepted)}")
+    return p
+
+
 def _check_terminal(p: dict, tol: float) -> tuple[dict, bool]:
-    a, b, T = p.get("a", 1.0), p.get("b", 1.0), p.get("T", 1.0)
-    sol = terminal_solution(a, b, T)
+    sol = terminal_solution(**p)
     res = sol.residual()
     xs = np.linspace(*sol.box["x"], 9)
-    datum = float(np.max(np.abs(sol.evaluate(xs, T) - 1.0)))
+    datum = float(np.max(np.abs(sol.evaluate(xs, p["T"]) - 1.0)))
     checks = {
         "pde_residual_max": res,
         "boundary_checks": {
@@ -261,14 +283,8 @@ def _check_terminal(p: dict, tol: float) -> tuple[dict, bool]:
 
 
 def _check_barrier(p: dict, tol: float) -> tuple[dict, bool]:
-    a = p.get("a", 1.0)
-    b = p.get("b", 1.0)
-    alpha = p.get("alpha", 0.05)
-    beta = p.get("beta", 0.9)
-    K = p.get("K", 100.0)
-    T = p.get("T", 1.0)
-    A = p.get("A", 1.0)
-    bs = barrier_solution(a, b, alpha, beta, K, T, A)
+    bs = barrier_solution(**p)
+    b, beta, K, T = p["b"], p["beta"], p["K"], p["T"]
     ts = np.linspace(T - 1.0, T, 9)
     Tp = -b * b * T / 2.0
     taus = np.linspace(Tp, Tp + 0.4, 9)
@@ -300,11 +316,7 @@ def _check_barrier(p: dict, tol: float) -> tuple[dict, bool]:
 
 
 def _check_example(name: str, p: dict, tol: float) -> tuple[dict, bool]:
-    a, b = p.get("a", 1.0), p.get("b", 1.0)
-    if name == "a22":
-        sol = example_A22(a, b, p.get("c3", 0.0))
-    else:
-        sol = example_A359(a, b, p.get("c1", -1.0))
+    sol = example_A22(**p) if name == "a22" else example_A359(**p)
     violation = sol.domain_violation()
     if violation is not None:
         raise CliError(f"domain violation: {violation}", EXIT_DOMAIN)
@@ -317,20 +329,21 @@ def _check_example(name: str, p: dict, tol: float) -> tuple[dict, bool]:
 
 
 def cmd_check(args) -> int:
-    p = _load_descriptor(args.params) if args.params else {}
+    defaults = CHECK_PARAMS.get(args.name)
+    if defaults is None:
+        raise CliError(
+            f"unknown solution {args.name!r}; "
+            "choose from terminal, barrier, a22, a359"
+        )
+    p = {**defaults, **_known_params(args.params, defaults, f"check {args.name}")}
     tol = args.tol
     try:
         if args.name == "terminal":
             checks, ok = _check_terminal(p, tol)
         elif args.name == "barrier":
             checks, ok = _check_barrier(p, tol)
-        elif args.name in ("a22", "a359"):
-            checks, ok = _check_example(args.name, p, tol)
         else:
-            raise CliError(
-                f"unknown solution {args.name!r}; "
-                "choose from terminal, barrier, a22, a359"
-            )
+            checks, ok = _check_example(args.name, p, tol)
     except SampleDomainError as e:
         raise CliError(f"domain violation: {e}", EXIT_DOMAIN)
     except (TypeError, ValueError) as e:  # params the closed form rejects
@@ -457,8 +470,7 @@ def cmd_converge(args) -> int:
         raise CliError("converge needs 'exact' reference data in the model")
     grid = _grid_from(_load_descriptor(args.grid))
     scheme = _scheme_from(args.scheme)
-    p = _load_descriptor(args.params) if args.params else {}
-    levels = p.get("levels")
+    levels = _known_params(args.params, ("levels",), "converge").get("levels")
     if not levels:
         raise CliError("converge needs --params '{\"levels\": [nx, ...]}'")
     case = sv.ConvergenceCase(model, exact, grid, scheme, barrier=barrier)
@@ -473,13 +485,24 @@ def cmd_converge(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is reported with
+    the subcommand's own usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="heathsym",
         description="symmetry catalog, transforms, closed-form checks, and "
         "finite-difference cross-validation for the drift-diffusion class",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     # Each subcommand registers only the options it reads.
     params = argparse.ArgumentParser(add_help=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -333,29 +333,16 @@ def evaluate_many(exprs: Iterable[Expr], points: Mapping[str, object]) -> tuple:
     """
     exprs, names, args = tuple(exprs), tuple(points), tuple(points.values())
     values, mask = _compiled(exprs, names)(*args)
-    if mask.any():
-        i = int(np.flatnonzero(mask)[0])
-        raise _domain_error(exprs, names, [np.broadcast_to(a, mask.shape).flat[i] for a in args])
+    _raise_at_first(mask, exprs, names, args)
     return values
-
-
-def scaled_residual(terms: Sequence[Expr], points: Mapping[str, object]) -> tuple:
-    """|sum of terms| / max(1, max |term|) at every point, and the mask of
-    points where the residual is undefined (a term or the sum not finite).
-    ``points`` maps each free symbol to an array or a scalar.
-    """
-    terms = tuple(terms)
-    values, _ = _compiled(terms, tuple(points))(*points.values())
-    (res,), (bad,) = scale_residuals(values, len(terms))
-    return res, bad
 
 
 def scale_residuals(values: Sequence[np.ndarray], size: int, signed: bool = False,
                     floor: float = 1.0) -> tuple:
-    """The arithmetic of `scaled_residual` on values already computed:
-    ``values`` holds consecutive groups of ``size`` summands, and each group
-    gives one row |sum| / max(floor, max |summand|), with its mask of
-    non-finite residuals.  With ``signed`` the rows keep the sign of the sum.
+    """Scaled residuals of summands already computed: ``values`` holds
+    consecutive groups of ``size`` summands, and each group gives one row
+    |sum| / max(floor, max |summand|), with its mask of non-finite
+    residuals.  With ``signed`` the rows keep the sign of the sum.
     The summands of a group are added in order."""
     groups = np.asarray(values)
     groups = groups.reshape((-1, size) + groups.shape[1:])
@@ -855,6 +842,58 @@ def compile_exprs(exprs: Iterable[Expr], argnames: Iterable[str]) -> Callable[..
 @functools.lru_cache(maxsize=8)
 def _compiled(exprs: tuple, argnames: tuple) -> Callable[..., tuple]:
     return compile_exprs(exprs, argnames)
+
+
+class Form(NamedTuple):
+    """Expressions compiled once for every value of their parameters (see
+    `compile_form`): ``fn`` takes the ``lead`` arguments, then the
+    parameters, every other free symbol, in sorted order."""
+
+    fn: Callable[..., tuple]
+    argnames: tuple[str, ...]
+    exprs: tuple[Expr, ...]
+    lead: int
+
+    def bind(self, args: Sequence, params: Mapping[str, float] | None) -> list:
+        """The arguments of ``fn``: ``args`` for the lead names, then the
+        parameters' values from ``params`` as floats (extra keys ignored)."""
+        names = self.argnames[self.lead:]
+        missing = [name for name in names if name not in (params or {})]
+        if missing:
+            raise ValueError(f"unbound parameters {missing}; pass params=")
+        return [*args, *(float(params[name]) for name in names)]
+
+    def values(self, args: Sequence, params: Mapping[str, float] | None) -> tuple:
+        """`evaluate_many` of the expressions at the points ``args`` with
+        the parameters bound: the first undefined point raises DomainError."""
+        bound = self.bind(args, params)
+        values, mask = self.fn(*bound)
+        _raise_at_first(mask, self.exprs, self.argnames, bound)
+        return values
+
+    def max_scaled_residual(self, args: Sequence, params: Mapping[str, float] | None) -> float:
+        """The maximum over the points ``args`` of |sum| / max(1, max |summand|),
+        the expressions being the summands; an undefined one raises DomainError."""
+        (res,), _ = scale_residuals(self.values(args, params), len(self.exprs))
+        return float(np.max(res, initial=0.0))
+
+
+def compile_form(exprs: Iterable[Expr], lead: Sequence[str]) -> Form:
+    """Compile ``exprs`` with the ``lead`` names as the first arguments and
+    their remaining free symbols, the parameters, after them, so that one
+    compiled function serves every parameter value."""
+    exprs = tuple(exprs)
+    params = set().union(*map(free_symbols, exprs)) - set(lead)
+    argnames = tuple(lead) + tuple(sorted(params))
+    return Form(compile_exprs(exprs, argnames), argnames, exprs, len(lead))
+
+
+def _raise_at_first(mask: np.ndarray, exprs: Sequence[Expr], names: Sequence[str],
+                    args: Sequence) -> None:
+    """Raise the DomainError of the first point where ``mask`` is set."""
+    if mask.any():
+        i = int(np.flatnonzero(mask)[0])
+        raise _domain_error(exprs, names, [np.broadcast_to(a, mask.shape).flat[i] for a in args])
 
 
 def _domain_error(exprs: Sequence[Expr], argnames: Sequence[str], point: Sequence[float]) -> DomainError:

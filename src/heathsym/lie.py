@@ -306,13 +306,23 @@ def invariant_surface(g: Generator) -> Expr:
     return g.eta - g.xi1 * ex.sym("u_x") - g.xi2 * ex.sym("u_t")
 
 
-def solution_invariance_residual(g: Generator, u: Expr,
+def solution_invariance_residual(g: Generator, u: Expr | str,
                                  pts: Sequence[tuple[float, float]],
                                  params: Mapping[str, float] | None = None) -> float:
     """Max of |eta - xi1*u_x - xi2*u_t| over (x,t) points with the explicit
     solution u(x,t) and its derivatives substituted in, scaled per point by
     the largest summand so solutions of huge magnitude are judged relative
-    to their size."""
+    to their size.  Symbols of ``g`` and ``u`` other than x and t are
+    parameters, bound from ``params``: the summands are derived and compiled
+    once per (g, u)."""
+    xs, ts = np.array(pts, dtype=float).T.copy()
+    return _invariance_form(g, u).max_scaled_residual((xs, ts), params)
+
+
+@functools.lru_cache(maxsize=32)
+def _invariance_form(g: Generator, u: Expr | str) -> ex.Form:
+    """The three summands of the invariant-surface condition on u, compiled
+    in (x, t, parameters)."""
     u = parse_xtu(u)
     ux, ut = ex.diff(u, "x"), ex.diff(u, "t")
     sub = {"u_x": ux, "u_t": ut, "u": u}
@@ -321,10 +331,4 @@ def solution_invariance_residual(g: Generator, u: Expr,
         ex.num(-1) * ex.subs(g.xi1, sub) * ux,
         ex.num(-1) * ex.subs(g.xi2, sub) * ut,
     ]
-    xs, ts = np.array(pts, dtype=float).T.copy()
-    points = {"x": xs, "t": ts}
-    points.update({k: float(v) for k, v in (params or {}).items()})
-    res, mask = ex.scaled_residual(terms, points)
-    if mask.any():
-        ex.evaluate_many(terms, points)  # raises, naming the failing subexpression
-    return float(np.max(res, initial=0.0))
+    return ex.compile_form(terms, ("x", "t"))

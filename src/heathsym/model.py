@@ -9,6 +9,7 @@ bijection onto phi > 0 and all sampling honors that.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -49,14 +50,19 @@ class HeathModel:
         return cls(a, b, ex.parse(f))
 
     def pde(self) -> EvolutionPDE:
-        a, b = ex.num(self.a), ex.num(self.b)
-        rhs = (
-            a * ex.sym("u_x")
-            + ex.sym("u_x") ** 2 / 2
-            - b * b / 2 * ex.sym("u_xx")
-            + self.f
-        )
-        return EvolutionPDE(rhs)
+        return heath_pde(ex.num(self.a), ex.num(self.b), self.f)
+
+
+def heath_pde(a: Expr, b: Expr, f: Expr) -> EvolutionPDE:
+    """u_t = a u_x + u_x^2/2 - (b^2/2) u_xx + f, for numbers a and b or, in a
+    template, symbols."""
+    rhs = (
+        a * ex.sym("u_x")
+        + ex.sym("u_x") ** 2 / 2
+        - b * b / 2 * ex.sym("u_xx")
+        + f
+    )
+    return EvolutionPDE(rhs)
 
 
 @dataclass(frozen=True)
@@ -147,22 +153,28 @@ def heat_to_heath(h: HeatSourceModel, a: float, b: float) -> HeathModel:
     return HeathModel(a, b, ex.simplify(f))
 
 
-def pde_residual(pde: EvolutionPDE, u: Expr, pts: Sequence[tuple[float, float]],
+def pde_residual(pde: EvolutionPDE, u: Expr | str, pts: Sequence[tuple[float, float]],
                  params: Mapping[str, float] | None = None) -> float:
     """Max of |u_t - rhs| over (x,t) points for an explicit candidate u(x,t),
     scaled per point by max(1, |summand|) over the additive pieces of the
-    equation so fields of huge magnitude are judged relative to their size."""
+    equation so fields of huge magnitude are judged relative to their size.
+    Symbols of ``pde`` and ``u`` other than x and t are parameters, bound
+    from ``params``: the summands are derived and compiled once per
+    (pde, u), so a template serves every parameter value."""
+    xs = np.array([p[0] for p in pts], dtype=float)
+    ts = np.array([p[1] for p in pts], dtype=float)
+    return _residual_form(pde, u).max_scaled_residual((xs, ts), params)
+
+
+@functools.lru_cache(maxsize=32)
+def _residual_form(pde: EvolutionPDE, u: Expr | str) -> ex.Form:
+    """The summands u_t and -rhs term by term, with u and its x-derivatives
+    substituted for the jet, compiled in (x, t, parameters)."""
     u = parse_xtu(u)
     jet = {"u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2)}
     rhs_terms = pde.rhs.args if pde.rhs.op == "add" else (pde.rhs,)
     terms = [ex.diff(u, "t")] + [ex.num(-1) * ex.subs(t, jet) for t in rhs_terms]
-    points = {"x": np.array([p[0] for p in pts], dtype=float),
-              "t": np.array([p[1] for p in pts], dtype=float)}
-    points.update({k: float(v) for k, v in (params or {}).items()})
-    res, mask = ex.scaled_residual(terms, points)
-    if mask.any():
-        ex.evaluate_many(terms, points)  # raises, naming the failing subexpression
-    return float(np.max(res, initial=0.0))
+    return ex.compile_form(terms, ("x", "t"))
 
 
 def residual_ratio_factor(a: float, b: float) -> Expr:

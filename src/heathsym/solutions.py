@@ -6,6 +6,11 @@ Conventions: every stored and returned expression is in (x, t, u), the
 heat picture's tau and phi included: t stands for tau and u for phi there.
 Input may use either spelling (`parse_xtu`); heat-picture output is printed
 in (x, tau, phi) (`ClosedFormSolution.to_json`, `sample_csv`).
+
+A solution's field and its PDE's source are kept as templates with the
+parameters as symbols.  Each check is derived and compiled once per process
+and takes the draw's values as arguments; derived constants (Tp, B, Delta,
+c1) are computed in float64 and passed the same way.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +29,7 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .lie import EvolutionPDE, Generator, heat_str, parse_xtu, solution_invariance_residual
-from .model import HeathModel, HeatSourceModel, CoordinateMap, pde_residual
+from .model import HeathModel, HeatSourceModel, heath_pde, pde_residual
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,34 +44,79 @@ def _fill(text: str, **values) -> Expr:
     return ex.subs(_parse(text), values)
 
 
+@functools.lru_cache(maxsize=32)
+def _form(templates: tuple[Expr, ...], lead: tuple[str, ...]) -> ex.Form:
+    """Templates compiled once per process, their parameters as arguments."""
+    return ex.compile_form(templates, lead)
+
+
+@functools.lru_cache(maxsize=None)
+def _template_pde(picture: str, source: Expr) -> EvolutionPDE:
+    """The PDE of a closed form whose source template (f or fhat) is
+    ``source``; a Heath-picture PDE takes a and b as parameters too."""
+    if picture == "heath":
+        return heath_pde(ex.sym("a"), ex.sym("b"), source)
+    return EvolutionPDE(ex.sym("u_xx") + source)
+
+
 class SampleDomainError(ValueError):
     """A requested sample point violates the solution's safe domain."""
 
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """An explicit solution together with its PDE and safe sample box."""
+    """An explicit solution together with its PDE and safe sample box.
+
+    The field and the source of its PDE are templates whose parameters are
+    symbols, bound by ``params`` (a Heath-picture PDE also reads a and b
+    there).  Every check runs the template's derivation, compiled once per
+    process, with ``params`` as arguments, so neither building a solution
+    nor checking it does symbolic work.  ``u`` and ``model``, the field and
+    model with the values filled in, are built on first read."""
 
     label: str
     picture: str  # "heath" (x,t,u) or "heat" (x,tau,phi)
-    u: Expr  # solution field in internal (x,t) naming
-    model: HeathModel | HeatSourceModel
+    u_template: Expr  # solution field in (x, t), parameters as symbols
+    source_template: Expr  # f or fhat in (x, u), parameters as symbols
     params: Mapping[str, float]
     box: Mapping[str, tuple[float, float]]
     boundary: Mapping[str, float] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for v in self.params.values():  # what filling a template accepts
+            if not isinstance(v, (int, float, Fraction)):
+                raise TypeError(f"cannot use {type(v).__name__} as an expression")
+
+    @functools.cached_property
+    def u(self) -> Expr:
+        """The solution field with ``params`` filled in."""
+        return ex.subs(self.u_template, self.params)
+
+    @functools.cached_property
+    def model(self) -> HeathModel | HeatSourceModel:
+        """The model whose PDE ``u`` solves, with ``params`` filled in."""
+        source = ex.subs(self.source_template, self.params)
+        if self.picture == "heath":
+            return HeathModel(self.params["a"], self.params["b"], source)
+        return HeatSourceModel(source)
 
     def grid(self, nx: int = 7, nt: int = 7) -> list[tuple[float, float]]:
         xs = np.linspace(*self.box["x"], nx)
         ts = np.linspace(*self.box["t"], nt)
         return [(float(xv), float(tv)) for xv in xs for tv in ts]
 
+    @property
+    def pde_template(self) -> EvolutionPDE:
+        """The PDE that ``u_template`` solves, parameters as symbols."""
+        return _template_pde(self.picture, self.source_template)
+
     def residual(self, pts: Sequence[tuple[float, float]] | None = None) -> float:
         """Max |u_t - rhs| over the sample grid (or supplied points)."""
         if pts is None:
             pts = self.grid()
         self._guard(pts)
-        return pde_residual(self.model.pde(), self.u, pts)
+        return pde_residual(self.pde_template, self.u_template, pts, params=self.params)
 
     def _guard(self, pts: Sequence[tuple[float, float]]) -> None:
         sing = self.boundary.get("singular_time")
@@ -110,7 +161,7 @@ class ClosedFormSolution:
 
     def evaluate(self, xv, tv):
         """The field at (x, t); arrays give an array, floats a float."""
-        (v,) = ex.evaluate_many([self.u], {"x": xv, "t": tv})
+        (v,) = _form((self.u_template,), ("x", "t")).values((xv, tv), self.params)
         return float(v) if np.ndim(v) == 0 else v
 
     def to_json(self) -> str:
@@ -134,7 +185,8 @@ class ClosedFormSolution:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         xs, ts = np.array(self.grid(nx, nt)).T
-        for xv, tv, uv in zip(xs.tolist(), ts.tolist(), self.evaluate(xs, ts).tolist()):
+        (us,) = ex.evaluate_many([self.u], {"x": xs, "t": ts})  # the artifact reads the filled field
+        for xv, tv, uv in zip(xs.tolist(), ts.tolist(), us.tolist()):
             w.writerow([repr(xv), repr(tv), repr(uv)])
         return buf.getvalue()
 
@@ -168,15 +220,13 @@ def terminal_solution(a: float, b: float, T: float) -> ClosedFormSolution:
     (A = 3, B = 1/2 instance)."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    u = _fill(_TERMINAL_U, a=a, b=b, T=T)
-    f = _fill(_TERMINAL_F, a=a, b=b)
     t_sing = terminal_singular_time(b, T)
     t_lo = max(T - 0.5, t_sing + 0.2)
     return ClosedFormSolution(
         label="terminal-value similarity solution",
         picture="heath",
-        u=u,
-        model=HeathModel(a, b, f),
+        u_template=_parse(_TERMINAL_U),
+        source_template=_parse(_TERMINAL_F),
         params={"a": a, "b": b, "T": T},
         box={"x": (-1.0, 1.0), "t": (t_lo, T)},
         boundary={
@@ -230,22 +280,24 @@ def terminal_reduction_F(a: float, b: float, T: float, c: float | None = None) -
     return _fill(_REDUCTION_F, a=a, b=b, Tp=-b * b * T / 2.0, c=c)
 
 
+@functools.lru_cache(maxsize=None)
+def _phi_form_field() -> Expr:
+    """The similarity prefix times the reduced profile F(tau)."""
+    return _parse(_REDUCTION_PHI_PREFIX) * _parse(_REDUCTION_F)
+
+
 def terminal_phi_form(a: float, b: float, T: float, c: float | None = None) -> ClosedFormSolution:
     """Heat-picture form of the terminal solution: similarity prefix times
     the reduced profile F(tau)."""
     if c is None:
         c = terminal_reduction_constant(a, b, T)
     Tp = -b * b * T / 2.0
-    prefix = _fill(_REDUCTION_PHI_PREFIX, a=a, b=b, Tp=Tp, c=c)
-    F = terminal_reduction_F(a, b, T, c)
-    phi = prefix * F
-    fhat = _parse("phi*(3*ln(abs(phi)) + x^2/2)")
     tau_hi = min(0.0, Tp + 0.5 * math.log(2.0))  # stay clear of 2e^{-tau}=e^{-Tp}
     return ClosedFormSolution(
         label="terminal-value similarity solution (heat picture)",
         picture="heat",
-        u=phi,
-        model=HeatSourceModel(fhat),
+        u_template=_phi_form_field(),
+        source_template=_parse("phi*(3*ln(abs(phi)) + x^2/2)"),
         params={"a": a, "b": b, "T": T, "c": c, "Tp": Tp},
         box={"x": (-1.0, 1.0), "t": (Tp, tau_hi)},
         boundary={"terminal_time": Tp, "singular_time": Tp + math.log(2.0)},
@@ -422,17 +474,13 @@ class BarrierSpec:
         if self.K <= 0:
             raise ValueError("K must be positive")
 
-    def H_of_t(self, b: float) -> Expr:
-        """Barrier curve in original time t (tau = -b^2 t/2)."""
-        return _in_heath_time(self.H, b)
 
-    def R_of_t(self, b: float) -> Expr:
-        return _in_heath_time(self.R, b)
+_EXP_BARRIER_H = "K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)"
 
-
-def _in_heath_time(e: Expr, b: float) -> Expr:
-    """A function of heat time tau (in t) as a function of original time t."""
-    return ex.simplify(ex.substitute(e, "t", ex.num(-(b * b) / 2) * ex.sym("t")))
+_EXP_BARRIER_R = (
+    "-(1/2)*beta*K*exp(-2*alpha*(2*tau/b^2 + T))"
+    "*(2*a*exp(alpha*(2*tau/b^2 + T)) + alpha*beta*K)"
+)
 
 
 def exponential_barrier(
@@ -450,9 +498,8 @@ def exponential_barrier(
         raise ValueError("requires A*b^2 > -4*alpha")
     B = -(b * b * alpha * A + 2 * alpha * alpha) / (2 * b ** 4)
     sub = {"alpha": alpha, "beta": beta, "K": K, "T": T, "a": a, "b": b}
-    H = _fill("K*beta*exp(-2*alpha*(tau + b^2*T/2)/b^2)", **sub)
-    R = _fill("-(1/2)*beta*K*exp(-2*alpha*(2*tau/b^2 + T))"
-              "*(2*a*exp(alpha*(2*tau/b^2 + T)) + alpha*beta*K)", **sub)
+    H = _fill(_EXP_BARRIER_H, **sub)
+    R = _fill(_EXP_BARRIER_R, **sub)
     c3 = 1.0
     c1 = -2 * b * b * math.exp(alpha * T) * c3 / (alpha * beta * K)
     return BarrierSpec(
@@ -479,56 +526,94 @@ _BARRIER_FPROFILE = (
     " - alpha^2*beta^2*K^2*(4*alpha + A*b^2)/b^6 * s^2 )"
 )
 
+_BARRIER_FHAT = "phi*(A*ln(abs(phi)) + B*x^2 + Delta)"
+
+# one-parameter subalgebra of the construction: time translation scaled by c1
+# plus the decaying space translation-with-ramp generator
+_BARRIER_GENERATOR = (
+    "4*exp(-2*alpha*tau/b^2)",
+    "c1",
+    "(4*alpha/b^2)*exp(-2*alpha*tau/b^2)*x*phi",
+)
+
+# the inverse of u = -b^2 ln(phi) - a x
+_PHI_OF_U = "exp(-(a*x + u)/b^2)"
+
+
+@functools.lru_cache(maxsize=None)
+def _barrier_phi() -> Expr:
+    """The heat-picture field exp(alpha x^2/(2 b^2)) F(zeta)."""
+    return _parse("exp(alpha*x^2/(2*b^2))") * ex.substitute(
+        _parse(_BARRIER_FPROFILE), "s", _parse(_BARRIER_ZETA)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _barrier_generator() -> Generator:
+    return Generator.parse(*_BARRIER_GENERATOR)
+
 
 @dataclass(frozen=True)
 class BarrierSolution:
     """The closed-form barrier solution in both pictures, with the barrier
-    spec and the invariance generator of its construction."""
+    spec it was built for (`barrier_solution`).  Like the solutions' own
+    checks, the ones here evaluate templates compiled once per process:
+    the curve, the datum and the construction's generator."""
 
     heath: ClosedFormSolution
     heat: ClosedFormSolution
     spec: BarrierSpec
-    generator: Generator  # heat-picture symmetry used in the construction
+
+    @property
+    def _generator_params(self) -> dict[str, float]:
+        return {**self.heat.params, "c1": self.spec.params["c1"]}
+
+    @property
+    def generator(self) -> Generator:
+        """The heat-picture symmetry used in the construction."""
+        return _barrier_generator().subs(self._generator_params)
+
+    def _barrier_at(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H(tau) and R(tau) of the exponential barrier."""
+        hr = (_parse(_EXP_BARRIER_H), _parse(_EXP_BARRIER_R))
+        return _form(hr, ("t",)).values((taus,), self.heath.params)
 
     def boundary_residual(self, ts: Sequence[float]) -> float:
         """Max |u(H(t), t) - R(t)| over times, scaled by magnitude."""
         b = self.heath.params["b"]
         ts = np.asarray(ts, dtype=float)
-        hv, rv = ex.evaluate_many([self.spec.H_of_t(b), self.spec.R_of_t(b)], {"t": ts})
+        hv, rv = self._barrier_at(-(b * b) / 2 * ts)
         uv = self.heath.evaluate(hv, ts)
         return float(np.max(np.abs(uv - rv) / np.maximum(1.0, np.abs(rv))))
 
     def phi_boundary_residual(self, taus: Sequence[float]) -> float:
         """Max scaled |phi(H(tau), tau) - exp(-(a H + R)/b^2)|."""
-        a = self.heath.params["a"]
-        b = self.heath.params["b"]
         taus = np.asarray(taus, dtype=float)
-        hv, rv = ex.evaluate_many([self.spec.H, self.spec.R], {"t": taus})
-        (pv,) = ex.evaluate_many([self.heat.u], {"x": hv, "t": taus})
-        datum = self._to_phi(a, b, hv, rv)
+        hv, rv = self._barrier_at(taus)
+        pv = self.heat.evaluate(hv, taus)
+        datum = self._to_phi(hv, rv)
         return float(np.max(np.abs(pv - datum) / np.maximum(1.0, np.abs(datum))))
 
     def picture_consistency(self, pts: Sequence[tuple[float, float]]) -> float:
         """Max relative gap between the heat-picture field and the mapped
         original-picture field at (x, t) points."""
-        a = self.heath.params["a"]
         b = self.heath.params["b"]
         xs, ts = np.array(pts, dtype=float).T.copy()
         uv = self.heath.evaluate(xs, ts)
-        (phi_direct,) = ex.evaluate_many([self.heat.u], {"x": xs, "t": -(b * b) / 2 * ts})
-        phi_mapped = self._to_phi(a, b, xs, uv)
+        phi_direct = self.heat.evaluate(xs, -(b * b) / 2 * ts)
+        phi_mapped = self._to_phi(xs, uv)
         return float(np.max(np.abs(phi_direct - phi_mapped) / np.maximum(1.0, np.abs(phi_mapped))))
 
-    @staticmethod
-    def _to_phi(a: float, b: float, xs, us) -> np.ndarray:
+    def _to_phi(self, xs, us) -> np.ndarray:
         """phi = exp(-(a x + u)/b^2); overflow raises DomainError."""
-        (phi,) = ex.evaluate_many([CoordinateMap.heath_heat(a, b).forward[2]], {"x": xs, "u": us})
+        (phi,) = _form((_parse(_PHI_OF_U),), ("x", "u")).values((xs, us), self.heath.params)
         return phi
 
     def invariance_residual(self, pts: Sequence[tuple[float, float]]) -> float:
         """Scaled residual of the generator's invariant-surface condition on
         the heat-picture field at (x, tau) points."""
-        return solution_invariance_residual(self.generator, self.heat.u, pts)
+        return solution_invariance_residual(_barrier_generator(), self.heat.u_template, pts,
+                                            params=self._generator_params)
 
     def payoff_discrepancy(self, xs: Sequence[float]) -> dict:
         """Report (not assert) the gap to the call payoff max(x-K, 0) at the
@@ -547,50 +632,29 @@ def barrier_solution(
     """Quadratic barrier-problem solution and its heat-picture similarity
     form, for the log-linear source with the Delta = A/2 + alpha/b^2 shift."""
     spec = exponential_barrier(a, b, alpha, beta, K, T, A)
-    B = spec.params["B"]
-    delta = A / 2.0 + alpha / (b * b)
-    sub = {"a": a, "b": b, "alpha": alpha, "beta": beta, "K": K, "T": T,
-           "A": A, "B": B, "Delta": delta}
-    u = _fill(_BARRIER_U, **sub)
-    f = _fill(_BARRIER_F, **sub)
+    params = {"a": a, "b": b, "alpha": alpha, "beta": beta, "K": K, "T": T,
+              "A": A, "B": spec.params["B"], "Delta": A / 2.0 + alpha / (b * b)}
     heath = ClosedFormSolution(
         label="barrier similarity solution",
         picture="heath",
-        u=u,
-        model=HeathModel(a, b, f),
-        params={"a": a, "b": b, "alpha": alpha, "beta": beta, "K": K, "T": T,
-                "A": A, "B": B, "Delta": delta},
+        u_template=_parse(_BARRIER_U),
+        source_template=_parse(_BARRIER_F),
+        params=params,
         box={"x": (beta * K, beta * K + 20.0), "t": (T - 1.0, T)},
         boundary={"terminal_time": T},
         notes=("polynomial in x; residual is exact everywhere",),
     )
-
-    zeta = _fill(_BARRIER_ZETA, **sub)
-    profile = _fill(_BARRIER_FPROFILE, **sub)
-    phi = ex.exp(ex.num(alpha) * ex.sym("x") ** 2 / (2 * ex.num(b) ** 2)) * ex.substitute(
-        profile, "s", zeta
-    )
-    fhat = _fill("phi*(A*ln(abs(phi)) + B*x^2 + Delta)", **sub)
     Tp = -b * b * T / 2.0
     heat = ClosedFormSolution(
         label="barrier similarity solution (heat picture)",
         picture="heat",
-        u=phi,
-        model=HeatSourceModel(fhat),
-        params=dict(heath.params),
+        u_template=_barrier_phi(),
+        source_template=_parse(_BARRIER_FHAT),
+        params=dict(params),
         box={"x": (beta * K, beta * K + 20.0), "t": (Tp, Tp + b * b / 2)},
         boundary={"terminal_time": Tp},
     )
-
-    # one-parameter subalgebra of the construction: time translation scaled
-    # by c1 plus the decaying space translation-with-ramp generator
-    c1 = spec.params["c1"]
-    gen = Generator.parse(
-        "4*exp(-2*alpha*tau/b^2)",
-        str(c1),
-        "(4*alpha/b^2)*exp(-2*alpha*tau/b^2)*x*phi",
-    ).subs({"alpha": alpha, "b": b})
-    return BarrierSolution(heath=heath, heat=heat, spec=spec, generator=gen)
+    return BarrierSolution(heath=heath, heat=heat, spec=spec)
 
 
 # -- additional examples ----------------------------------------------------
@@ -612,13 +676,11 @@ def example_A22(a: float, b: float, c3: float) -> ClosedFormSolution:
     an arbitrary-function slot (trigonometric profile instance)."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    u = _fill(_A22_U, a=a, b=b, c3=c3)
-    f = _fill(_A22_F, a=a, b=b)
     return ClosedFormSolution(
         label="similarity solution: scaling algebra with secant profile",
         picture="heath",
-        u=u,
-        model=HeathModel(a, b, f),
+        u_template=_parse(_A22_U),
+        source_template=_parse(_A22_F),
         params={"a": a, "b": b, "c3": c3},
         box={"x": (0.5, 1.5), "t": (0.0, 0.2)},
         notes=(
@@ -644,13 +706,11 @@ def example_A359(a: float, b: float, c1: float) -> ClosedFormSolution:
     instance); has a moving pole at x = 6 c1 - 3 b^2 t."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    u = _fill(_A359_U, a=a, b=b, c1=c1)
-    f = _fill(_A359_F, a=a, b=b)
     return ClosedFormSolution(
         label="similarity solution: quadratic source with moving pole",
         picture="heath",
-        u=u,
-        model=HeathModel(a, b, f),
+        u_template=_parse(_A359_U),
+        source_template=_parse(_A359_F),
         params={"a": a, "b": b, "c1": c1},
         box={"x": (1.0, 2.0), "t": (0.0, 0.2)},
         boundary={"pole_line": 1.0, "pole_slope": 3 * b * b, "pole_offset": -6 * c1},

@@ -18,8 +18,9 @@ of this treatment still depends on where the curve falls between nodes
 (pairwise orders from about 0.8 to 2.8 over nx = 32-512).  Both variants run
 one march: its source and boundary data are compiled once, every boundary value
 is computed before the first step, and each CN matrix is LU-factored once per
-unknown count (per level where the folded row changes).  The march warns
-PositivityWarning once per run when any node of any level has phi <= 0.
+unknown count (per level where the folded row changes); scipy.linalg, which
+provides the LAPACK routines, loads on the first factorisation.  The march
+warns PositivityWarning once per run when any node of any level has phi <= 0.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (the benchmark's tracer wraps this name)
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import expr as ex
 from .expr import Expr
@@ -235,6 +234,25 @@ def _level_min(phi: np.ndarray, tau: float) -> float:
     return lo
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, loaded on the first Crank-Nicolson
+    factorisation: importing scipy.linalg costs more than the rest of
+    heathsym's import, and only the CN march uses it."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def __getattr__(name: str):
+    # the benchmark's tracer wraps solve_banded under this module's name
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cn_factor(n: int, lam: float, fold: float = 0.0) -> tuple:
     """LU factors (LAPACK gttrf) of I - (lam/2) * tridiag(1, -2, 1) of order
     n, with (lam/2) * fold taken off the first diagonal entry."""
@@ -242,7 +260,7 @@ def _cn_factor(n: int, lam: float, fold: float = 0.0) -> tuple:
     d = np.full(n, 1.0 + lam)
     if fold:
         d[0] -= (lam / 2.0) * fold
-    *lu, info = dgttrf(off, d, off)
+    *lu, info = _lapack().dgttrf(off, d, off)
     if info:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
     return tuple(lu)
@@ -251,7 +269,7 @@ def _cn_factor(n: int, lam: float, fold: float = 0.0) -> tuple:
 def _cn_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve with factors from _cn_factor (LAPACK gttrs); bit for bit what
     scipy.linalg.solve_banded gives for the same banded matrix."""
-    x, _ = dgttrs(*lu, rhs, overwrite_b=1)
+    x, _ = _lapack().dgttrs(*lu, rhs, overwrite_b=1)
     return x
 
 

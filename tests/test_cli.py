@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -370,3 +371,64 @@ def test_readme_examples_exit_0(tmp_path, capsys, monkeypatch):
     assert len(commands) == 7
     codes = {" ".join(argv[:2]): run(capsys, *argv)[0] for argv in commands}
     assert codes == dict.fromkeys(codes, 0)
+
+
+def test_check_rejects_unknown_params_exit_2(capsys):
+    code, out, err = run(capsys, "check", "terminal", "--params", '{"T":2,"bb":0}')
+    assert code == 2 and out == ""
+    assert err == "error: check terminal: unknown parameters ['bb']; accepted: ['a', 'b', 'T']\n"
+    code, _, err = run(capsys, "check", "a359", "--params", '{"c3":0.1}')
+    assert code == 2
+    assert err == "error: check a359: unknown parameters ['c3']; accepted: ['a', 'b', 'c1']\n"
+
+
+def test_check_params_override_defaults(capsys):
+    # the parameters given replace the defaults, the others keep theirs
+    code, out, _ = run(capsys, "check", "terminal", "--params", '{"T":2}')
+    assert code == 0
+    singular = json.loads(out)["boundary_checks"]["singular_time"]
+    assert singular == pytest.approx(2 - 2 * math.log(2.0))
+
+
+def test_converge_rejects_unknown_params_exit_2(capsys):
+    code, out, err = run(capsys, "converge", "--model", SIN_MODEL, "--grid", SIN_GRID,
+                         "--params", '{"levels":[16,32,64],"level":[8]}')
+    assert code == 2 and out == ""
+    assert err == "error: converge: unknown parameters ['level']; accepted: ['levels']\n"
+
+
+def test_unknown_flag_shows_the_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", SIN_MODEL, "--grid", SIN_GRID, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: heathsym solve [-h]")
+    assert "heathsym solve: error: unrecognized arguments: --tol 1e-3" in err
+
+
+def test_answers_without_a_solve_leave_scipy_linalg_unloaded():
+    # scipy.linalg loads on the first Crank-Nicolson factorisation only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import heathsym",
+        "from heathsym.catalog import match_fhat",
+        "from heathsym.cli import main",
+        "def loaded(): return 'scipy.linalg' in sys.modules",
+        "assert not loaded(), 'import heathsym'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['catalog', 'verify', 'A_4_4']) == 0",
+        "    assert not loaded(), 'catalog verify'",
+        "    assert main(['check', 'barrier']) == 0",
+        "    assert not loaded(), 'check'",
+        "    assert main(['transform', '--model', '{\"a\":0,\"b\":1,\"f\":\"u^2\"}']) == 0",
+        "    assert not loaded(), 'transform'",
+        "    match_fhat('phi^2 + sin(x)*phi^3', n=10)",
+        "    assert not loaded(), 'match_fhat'",
+        f"    assert main(['solve', '--model', {SIN_MODEL!r}, '--grid', {SIN_GRID!r}]) == 0",
+        "    assert loaded(), 'solve'",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

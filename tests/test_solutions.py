@@ -5,7 +5,8 @@ import pytest
 
 from heathsym import expr as ex
 from heathsym import solutions as so
-from heathsym.model import heath_to_heat
+from heathsym.lie import solution_invariance_residual
+from heathsym.model import heath_to_heat, pde_residual
 
 A_, B_, T_ = 1.0, 1.0, 1.0  # a, b, T used throughout
 
@@ -116,9 +117,8 @@ def test_barrier_solution_residuals_and_boundary():
     Tp = -B_ * B_ * T_ / 2.0
     taus = np.linspace(Tp, Tp + 0.4, 9)
     assert bs.phi_boundary_residual(taus) < 1e-10
-    # barrier curve hits beta*K at the terminal time
-    H_t = ex.rename(bs.spec.H_of_t(B_), {"tau": "t"})
-    assert abs(ex.evaluate(H_t, {"t": T_}) - 0.9 * 100.0) < 1e-10
+    # barrier curve hits beta*K at the terminal time, tau = -b^2 T/2
+    assert abs(ex.evaluate(bs.spec.H, {"t": -B_ * B_ * T_ / 2}) - 0.9 * 100.0) < 1e-10
 
 
 def test_barrier_invariance_and_picture_consistency():
@@ -184,3 +184,133 @@ def test_solution_serialization():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "x,t,u"
     assert len(lines) == 10
+
+
+# -- the compiled templates -----------------------------------------------------
+
+def _draws(n, seed=11):
+    """n admissible draws of every closed form, as (name, builder, kwargs)."""
+    rng = np.random.default_rng(seed)
+    u = lambda lo, hi: float(rng.uniform(lo, hi))  # noqa: E731
+    out = []
+    for _ in range(n):
+        out += [
+            ("terminal", so.terminal_solution, {"a": u(0.5, 1.5), "b": u(0.8, 1.2), "T": u(0.8, 1.2)}),
+            ("phi_form", so.terminal_phi_form, {"a": u(0.5, 1.5), "b": u(0.8, 1.2), "T": u(0.8, 1.2)}),
+            ("barrier", so.barrier_solution,
+             {"a": u(0.5, 1.5), "b": u(0.8, 1.2), "alpha": u(0.03, 0.07), "beta": u(0.85, 0.95),
+              "K": u(50.0, 110.0), "T": u(0.8, 1.2), "A": u(0.8, 1.2)}),
+            ("a22", so.example_A22, {"a": u(0.5, 1.5), "b": u(0.8, 1.2), "c3": u(-0.2, 0.2)}),
+            ("a359", so.example_A359, {"a": u(0.5, 1.5), "b": u(0.8, 1.2), "c1": u(-1.2, -0.8)}),
+        ]
+    return out
+
+
+def _solutions(built):
+    """The ClosedFormSolutions of a built closed form (both pictures of the barrier)."""
+    return [built.heath, built.heat] if isinstance(built, so.BarrierSolution) else [built]
+
+
+def _filled_residual(sol, pts=None):
+    """The residual derived from the filled field and model, per draw."""
+    return pde_residual(sol.model.pde(), sol.u, pts or sol.grid())
+
+
+def _invariance_pts(bs):
+    beta, K, b, T = (bs.heath.params[k] for k in ("beta", "K", "b", "T"))
+    tp = -b * b * T / 2.0
+    return [(float(xv), float(tv)) for xv in np.linspace(beta * K, beta * K + 5, 4)
+            for tv in np.linspace(tp, tp + 0.3, 4)]
+
+
+def test_compiled_residuals_match_the_filled_derivation():
+    # 20 draws of each closed form: the template's residual, with the draw's
+    # values as arguments, is the residual derived from the filled field
+    worst = {}
+    for name, build, kw in _draws(20):
+        built = build(**kw)
+        for sol in _solutions(built):
+            gap = abs(sol.residual() - _filled_residual(sol))
+            worst[name, sol.picture] = max(worst.get((name, sol.picture), 0.0), gap)
+        if name == "barrier":
+            pts = _invariance_pts(built)
+            gap = abs(built.invariance_residual(pts)
+                      - solution_invariance_residual(built.generator, built.heat.u, pts))
+            worst["invariance"] = max(worst.get("invariance", 0.0), gap)
+    assert len(worst) == 7
+    assert max(worst.values()) < 1e-13, worst
+
+
+def test_alternating_draws_each_get_their_own_values():
+    (_, _, kw_a), (_, _, kw_b) = [d for d in _draws(2) if d[0] == "terminal"]
+    xs = np.linspace(-1.0, 1.0, 9)
+    seen = []
+    for kw in (kw_a, kw_b, kw_a):
+        sol = so.terminal_solution(**kw)
+        ts = np.full_like(xs, sol.box["t"][0])
+        (filled,) = ex.evaluate_many([sol.u], {"x": xs, "t": ts})
+        got = sol.evaluate(xs, ts)
+        assert np.max(np.abs(got - filled) / np.maximum(1.0, np.abs(filled))) < 1e-13
+        assert abs(sol.residual() - _filled_residual(sol)) < 1e-13
+        seen.append(got)
+    assert np.array_equal(seen[0], seen[2])
+    assert np.max(np.abs(seen[0] - seen[1])) > 1e-2
+
+
+def test_another_draws_values_break_the_residual():
+    # draw A's filled field checked against the template PDE bound to draw
+    # B's values fails by orders of magnitude: the values reach the compiled
+    # function
+    by_name = {}
+    for name, build, kw in _draws(2, seed=5):
+        by_name.setdefault(name, []).append(build(**kw))
+    for name, (first, second) in by_name.items():
+        for sol_a, sol_b in zip(_solutions(first), _solutions(second)):
+            assert _filled_residual(sol_a) < 1e-9
+            if ex.free_symbols(sol_a.pde_template.rhs) <= {"x", "u", "u_x", "u_xx"}:
+                continue  # the phi form's PDE has no parameters to bind
+            wrong = pde_residual(sol_a.pde_template, sol_a.u, sol_a.grid(), params=sol_b.params)
+            assert wrong > 1e-6, (name, sol_a.picture, wrong)
+    first, second = by_name["barrier"]
+    pts = _invariance_pts(first)
+    assert solution_invariance_residual(first.generator, first.heat.u, pts) < 1e-8
+    gen_b = {**second.heat.params, "c1": second.spec.params["c1"]}
+    wrong = solution_invariance_residual(so._barrier_generator(), first.heat.u, pts, params=gen_b)
+    assert wrong > 1e-6
+
+
+def test_checks_derive_and_compile_once(monkeypatch):
+    # after one draw of each closed form, a new draw's checks neither
+    # differentiate nor compile
+    def run(draws):
+        for _, build, kw in draws:
+            built = build(**kw)
+            for sol in _solutions(built):
+                sol.residual()
+                sol.evaluate(*np.array(sol.grid()).T)
+            if isinstance(built, so.BarrierSolution):
+                b, T = built.heath.params["b"], built.heath.params["T"]
+                built.boundary_residual(np.linspace(T - 1.0, T, 9))
+                built.phi_boundary_residual(np.linspace(-b * b * T / 2, -b * b * T / 2 + 0.4, 9))
+                built.picture_consistency(built.heath.grid())
+                built.invariance_residual(_invariance_pts(built))
+                built.payoff_discrepancy([101.0, 120.0])
+
+    first, second = _draws(1, seed=1), _draws(1, seed=2)
+    run(first)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work on a later draw")
+
+    monkeypatch.setattr(ex, "diff", forbidden)
+    monkeypatch.setattr(ex, "compile_exprs", forbidden)
+    run(second)
+
+
+def test_filled_field_is_built_on_first_read():
+    sol = so.terminal_solution(1.0, 1.0, 1.0)
+    assert "u" not in vars(sol) and "model" not in vars(sol)
+    sol.residual()
+    assert "u" not in vars(sol) and "model" not in vars(sol)
+    assert sol.u is sol.u and sol.model is sol.model
+    assert sol.u == ex.subs(sol.u_template, sol.params)
