@@ -322,7 +322,9 @@ def solution_invariance_residual(g: Generator, u: Expr | str,
 @functools.lru_cache(maxsize=32)
 def _invariance_form(g: Generator, u: Expr | str) -> ex.Form:
     """The three summands of the invariant-surface condition on u, compiled
-    in (x, t, parameters)."""
+    in (x, t, parameters).  The barrier keys it by one (generator, field)
+    template pair; the bound of 32 keeps a caller that passes a new filled
+    field per draw from growing it."""
     u = parse_xtu(u)
     ux, ut = ex.diff(u, "x"), ex.diff(u, "t")
     sub = {"u_x": ux, "u_t": ut, "u": u}

@@ -169,7 +169,9 @@ def pde_residual(pde: EvolutionPDE, u: Expr | str, pts: Sequence[tuple[float, fl
 @functools.lru_cache(maxsize=32)
 def _residual_form(pde: EvolutionPDE, u: Expr | str) -> ex.Form:
     """The summands u_t and -rhs term by term, with u and its x-derivatives
-    substituted for the jet, compiled in (x, t, parameters)."""
+    substituted for the jet, compiled in (x, t, parameters).  The closed
+    forms key it by their six (PDE, field) templates; the bound of 32 keeps
+    a caller that passes a new filled field per draw from growing it."""
     u = parse_xtu(u)
     jet = {"u": u, "u_x": ex.diff(u, "x"), "u_xx": ex.diff(u, "x", 2)}
     rhs_terms = pde.rhs.args if pde.rhs.op == "add" else (pde.rhs,)

@@ -44,10 +44,12 @@ def _fill(text: str, **values) -> Expr:
     return ex.subs(_parse(text), values)
 
 
-@functools.lru_cache(maxsize=32)
-def _form(templates: tuple[Expr, ...], lead: tuple[str, ...]) -> ex.Form:
-    """Templates compiled once per process, their parameters as arguments."""
-    return ex.compile_form(templates, lead)
+@functools.lru_cache(maxsize=None)
+def _field_form(u_template: Expr) -> ex.Form:
+    """A closed form's field compiled in (x, t, parameters).  The keys are
+    this module's field templates, one per closed form, so the cache
+    stays as small as the module."""
+    return ex.compile_form((u_template,), ("x", "t"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,7 +163,7 @@ class ClosedFormSolution:
 
     def evaluate(self, xv, tv):
         """The field at (x, t); arrays give an array, floats a float."""
-        (v,) = _form((self.u_template,), ("x", "t")).values((xv, tv), self.params)
+        (v,) = _field_form(self.u_template).values((xv, tv), self.params)
         return float(v) if np.ndim(v) == 0 else v
 
     def to_json(self) -> str:
@@ -185,8 +187,7 @@ class ClosedFormSolution:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         xs, ts = np.array(self.grid(nx, nt)).T
-        (us,) = ex.evaluate_many([self.u], {"x": xs, "t": ts})  # the artifact reads the filled field
-        for xv, tv, uv in zip(xs.tolist(), ts.tolist(), us.tolist()):
+        for xv, tv, uv in zip(xs.tolist(), ts.tolist(), self.evaluate(xs, ts).tolist()):
             w.writerow([repr(xv), repr(tv), repr(uv)])
         return buf.getvalue()
 
@@ -553,6 +554,18 @@ def _barrier_generator() -> Generator:
     return Generator.parse(*_BARRIER_GENERATOR)
 
 
+@functools.lru_cache(maxsize=None)
+def _barrier_curve_form() -> ex.Form:
+    """H(tau) and R(tau) of the exponential barrier, compiled in (tau, parameters)."""
+    return ex.compile_form((_parse(_EXP_BARRIER_H), _parse(_EXP_BARRIER_R)), ("t",))
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_of_u_form() -> ex.Form:
+    """phi = exp(-(a x + u)/b^2), compiled in (x, u, a, b)."""
+    return ex.compile_form((_parse(_PHI_OF_U),), ("x", "u"))
+
+
 @dataclass(frozen=True)
 class BarrierSolution:
     """The closed-form barrier solution in both pictures, with the barrier
@@ -575,8 +588,7 @@ class BarrierSolution:
 
     def _barrier_at(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H(tau) and R(tau) of the exponential barrier."""
-        hr = (_parse(_EXP_BARRIER_H), _parse(_EXP_BARRIER_R))
-        return _form(hr, ("t",)).values((taus,), self.heath.params)
+        return _barrier_curve_form().values((taus,), self.heath.params)
 
     def boundary_residual(self, ts: Sequence[float]) -> float:
         """Max |u(H(t), t) - R(t)| over times, scaled by magnitude."""
@@ -606,7 +618,7 @@ class BarrierSolution:
 
     def _to_phi(self, xs, us) -> np.ndarray:
         """phi = exp(-(a x + u)/b^2); overflow raises DomainError."""
-        (phi,) = _form((_parse(_PHI_OF_U),), ("x", "u")).values((xs, us), self.heath.params)
+        (phi,) = _phi_of_u_form().values((xs, us), self.heath.params)
         return phi
 
     def invariance_residual(self, pts: Sequence[tuple[float, float]]) -> float:
