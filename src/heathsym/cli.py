@@ -104,8 +104,14 @@ def _load_descriptor(text: str | None) -> dict:
     return out
 
 
+def _dumps(obj: dict) -> str:
+    """Strict JSON text: a NaN or an infinity raises instead of printing
+    a token JSON does not have."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _dumps(obj)
     if out_path:
         _atomic_write(out_path, text)
     sys.stdout.write(text)
@@ -444,10 +450,14 @@ def cmd_solve(args) -> int:
     summary: dict = {
         "grid": {"nx": grid.nx, "ntau": grid.ntau, "h": grid.h, "k": grid.k},
         "scheme": scheme.scheme,
+        "lam": grid.k / (grid.h * grid.h),
         "snapshots": len(snaps),
         "min_phi": snaps.min_phi,
         "nonpositive_nodes": sum(int(np.count_nonzero(s.phi <= 0.0)) for s in snaps),
     }
+    if barrier is not None:  # the node tied to the barrier line, lo - 1
+        tied = [s.lo - 1 for s in snaps]
+        summary["barrier_node"] = [min(tied), max(tied)]
     if exact is not None:
         (norm,) = sv.error_norms(snaps[-1:], exact, grid)
         summary["final_Linf"] = norm["Linf"]
@@ -459,7 +469,7 @@ def cmd_solve(args) -> int:
         ) + "\n"
         _atomic_write(args.out, text)
         summary["csv"] = args.out
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(summary))
     return EXIT_OK
 
 

@@ -750,20 +750,23 @@ def _parse_atom(tz: _Tokenizer) -> Expr:
 
 # -- compilation to numpy code ----------------------------------------------
 
-def _codegen(exprs: Sequence[Expr], argnames: Sequence[str], explain: bool):
+def _codegen(exprs: Sequence[Expr], argnames: Sequence[str], tail: str = "mask"):
     """Straight-line numpy code for ``exprs``, one assignment per distinct
     subtree.  exp, sign and negative powers can map an infinite argument to a
     finite value (exp(-inf) = 0), so their results are poisoned with
     (arg - arg): zero for a finite argument, nan otherwise.  A failure
-    anywhere therefore reaches every result that depends on it.  With
-    ``explain`` the code returns, at the first non-finite line, its index and
-    its arguments, for scalar arguments only."""
+    anywhere therefore reaches every result that depends on it.  The
+    ``tail`` picks what the code returns: "mask", the values and their mask
+    (see compile_exprs); "explain", at the first non-finite line, its index
+    and its arguments, for scalar arguments only; "kernel", the value of
+    the one expression alone (see compile_kernel)."""
     index: dict[Expr, str] = {}
     lines: list[str] = []
     nodes: list[Expr] = []
     ns: dict[str, object] = {
         "_pow": np.power, "_recip": np.reciprocal, "_isfinite": np.isfinite,
-        "_errstate": np.errstate, "_empty": np.empty, "_shape": np.broadcast_shapes,
+        "_errstate": np.errstate, "_empty": np.empty, "_full": np.full,
+        "_shape": np.broadcast_shapes,
         "_np_shape": np.shape, **{"_" + k: f for k, f in _FUNCTIONS.items()},
     }
 
@@ -804,22 +807,29 @@ def _codegen(exprs: Sequence[Expr], argnames: Sequence[str], explain: bool):
                     rhs += f" + ({kids[0]} - {kids[0]})"
             name = f"v{len(nodes)}"
             lines.append(f"{name} = {rhs}")
-            if explain:
+            if tail == "explain":
                 lines.append(f"if not _isfinite({name}): return {len(nodes)}, ({', '.join(kids)},)")
             nodes.append(node)
         index[node] = name
         return name
 
     results = [emit(e) for e in exprs]
-    body = "\n".join("        " + line for line in lines or ["pass"])
-    if explain:
-        tail = "return None"
+    if tail == "kernel":
+        (r,) = results
+        if not free_symbols(exprs[0]):  # a constant still fills the arguments' shape
+            r = f"_full(_np_shape(a[0]), {r})"
+        body = "".join(f"    {line}\n" for line in lines)
+        src = f"def _f(*a):\n{body}    return {r}\n"
     else:
-        # one row per result, broadcast to the arguments' shape
-        rows = "".join(f"\n    out[{i}] = {r}" for i, r in enumerate(results))
-        tail = (f"out = _empty(({len(results)},) + _shape(*map(_np_shape, a))){rows}\n"
-                "    return tuple(out), ~_isfinite(out).all(axis=0)")
-    src = f"def _f(*a):\n    with _errstate(all='ignore'):\n{body}\n    {tail}\n"
+        body = "\n".join("        " + line for line in lines or ["pass"])
+        if tail == "explain":
+            ret = "return None"
+        else:
+            # one row per result, broadcast to the arguments' shape
+            rows = "".join(f"\n    out[{i}] = {r}" for i, r in enumerate(results))
+            ret = (f"out = _empty(({len(results)},) + _shape(*map(_np_shape, a))){rows}\n"
+                   "    return tuple(out), ~_isfinite(out).all(axis=0)")
+        src = f"def _f(*a):\n    with _errstate(all='ignore'):\n{body}\n    {ret}\n"
     exec(compile(src, "<expr-compile>", "exec"), ns)
     return ns["_f"], nodes
 
@@ -836,7 +846,20 @@ def compile_exprs(exprs: Iterable[Expr], argnames: Iterable[str]) -> Callable[..
     overflow, or any other non-finite value).  Values at masked points are
     meaningless.  Shared subtrees are evaluated once.
     """
-    return _codegen(list(exprs), list(argnames), explain=False)[0]
+    return _codegen(list(exprs), list(argnames))[0]
+
+
+def compile_kernel(e: Expr, argnames: Iterable[str]) -> Callable[..., np.ndarray]:
+    """Compile one expression into a bare numpy kernel for a hot loop.
+
+    The arguments are arrays of one shape, one per name in ``argnames``,
+    and the kernel returns the value array alone, in that shape (it may be
+    an argument itself, when ``e`` is a bare symbol).  It sets no error
+    state and computes no mask: the caller holds ``np.errstate`` and tests
+    the values, which are non-finite exactly where compile_exprs' mask is
+    set.
+    """
+    return _codegen([e], list(argnames), tail="kernel")[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -899,7 +922,7 @@ def _raise_at_first(mask: np.ndarray, exprs: Sequence[Expr], names: Sequence[str
 def _domain_error(exprs: Sequence[Expr], argnames: Sequence[str], point: Sequence[float]) -> DomainError:
     """The DomainError for one point where ``exprs`` are undefined, naming
     the first subexpression that fails there."""
-    fn, nodes = _codegen(list(exprs), list(argnames), explain=True)
+    fn, nodes = _codegen(list(exprs), list(argnames), tail="explain")
     hit = fn(*point)
     if hit is None:
         return DomainError("non-finite value", "; ".join(to_str(e) for e in exprs))

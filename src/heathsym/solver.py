@@ -19,8 +19,12 @@ of this treatment still depends on where the curve falls between nodes
 one march: its source and boundary data are compiled once, every boundary value
 is computed before the first step, and each CN matrix is LU-factored once per
 unknown count (per level where the folded row changes); scipy.linalg, which
-provides the LAPACK routines, loads on the first factorisation.  The march
-warns PositivityWarning once per run when any node of any level has phi <= 0.
+provides the LAPACK routines, loads on the first factorisation.  Each step
+calls the source's value kernel once (expr.compile_kernel) and writes its
+level into one (levels, nx + 2) buffer per march, under one np.errstate; one
+bound check per level catches a blow-up and an undefined source, and the
+snapshots are read-only rows of that buffer.  The march warns
+PositivityWarning once per run when any node of any level has phi <= 0.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ class FieldSnapshot:
     """The field at one time level, on all grid nodes.  ``lo`` is the first
     node the march solved for: nodes lo-1 .. nx+1 lie in the domain, and
     the nodes left of lo-1 hold the barrier datum.  Immutable; the vector
-    is checked finite, copied and frozen on construction."""
+    is checked finite, copied and frozen on construction (a march's
+    snapshots share its read-only buffer instead)."""
 
     tau: float
     phi: np.ndarray
@@ -122,6 +127,15 @@ class FieldSnapshot:
             raise ValueError("snapshot contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "phi", arr)
+
+    @classmethod
+    def _row(cls, tau: float, phi: np.ndarray, lo: int) -> "FieldSnapshot":
+        """A snapshot of ``phi``, a read-only row the march has checked,
+        kept without a copy."""
+        snap = object.__new__(cls)
+        for name, value in (("tau", tau), ("phi", phi), ("lo", lo)):
+            object.__setattr__(snap, name, value)
+        return snap
 
 
 @dataclass(frozen=True)
@@ -219,19 +233,23 @@ class _Edges(NamedTuple):
     fail: Callable[[], None] | None
 
 
-def _level_min(phi: np.ndarray, tau: float) -> float:
-    """min(phi) of one level; raises InstabilityError when the level is not
-    finite or |phi| passed the blow-up bound."""
+def _instability(phi: np.ndarray, tau: float) -> InstabilityError:
+    """The error for a level that is not finite or where |phi| passed the
+    blow-up bound."""
     lo, hi = float(phi.min()), float(phi.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InstabilityError(f"non-finite value at tau = {tau:.6g}")
-    m = max(abs(lo), abs(hi))
-    if m > _BLOWUP:
-        raise InstabilityError(
-            f"instability detected: |phi| reached {m:.3g} > {_BLOWUP:.0e} "
-            f"at tau = {tau:.6g}"
-        )
-    return lo
+        return InstabilityError(f"non-finite value at tau = {tau:.6g}")
+    return InstabilityError(
+        f"instability detected: |phi| reached {max(abs(lo), abs(hi)):.3g} > "
+        f"{_BLOWUP:.0e} at tau = {tau:.6g}"
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _source_kernel(fhat: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """fhat's value kernel in (x, u); a refinement study marches the same
+    source at every level."""
+    return ex.compile_kernel(fhat, ("x", "u"))
 
 
 @functools.cache
@@ -275,66 +293,79 @@ def _cn_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
 
 def _march(model, grid, scheme, phi, edges: _Edges) -> Snapshots:
     """March ``phi``, the field at tau0 on all nodes, to tau1 and return a
-    snapshot per time level (initial level included).  When ``edges`` ends
-    early, its ``fail`` raises once the march reaches that level.  Warns
-    PositivityWarning once when any node of any level has phi <= 0.
+    snapshot per time level (initial level included): read-only rows of
+    one buffer.  A level that leaves [-1e12, 1e12] raises the source's
+    DomainError when the source was undefined there, InstabilityError
+    otherwise.  When ``edges`` ends early, its ``fail`` raises once the
+    march reaches that level.  Warns PositivityWarning once when any node
+    of any level has phi <= 0.
     """
     scheme.validate(grid)
     xs, taus = grid.nodes(), grid.taus()
     h, k = grid.h, grid.k
     lam = k / (h * h)
-    fhat = _Field(model.fhat, ("x", "u"))
+    source = _source_kernel(model.fhat)
     factors: dict[int, tuple] = {}  # CN factors per unknown count, no fold
     src_prev: np.ndarray | None = None
-    snaps, low = [], math.inf
-    for m, j in enumerate(edges.j.tolist()):
-        a, b = edges.a[m], edges.b[m]
-        lo = j + 1  # first unknown
-        if m:
-            if j < j_prev:
-                # nodes uncovered by a receding barrier continue the old
-                # level's boundary line, through nodes j_prev and j_prev + 1
-                phi = phi.copy()
-                step = phi[j_prev] - phi[j_prev + 1]
-                phi[j:j_prev] = phi[j_prev] + step * np.arange(j_prev - j, 0, -1)
-            src = fhat(xs[lo:-1], phi[lo:-1])
-            diff = phi[lo - 1 : -2] - 2 * phi[lo:-1] + phi[lo + 1 :]
-            if scheme.scheme == EXPLICIT:
-                interior = phi[lo:-1] + k * (diff / (h * h) + src)
-            else:
-                # Adams-Bashforth 2 source once the unknowns match the previous
-                # level's (Euler before) keeps the split second-order in time.
-                ab2 = src_prev is not None and src_prev.size == src.size
-                s_eff = 1.5 * src - 0.5 * src_prev if ab2 else src
-                rhs = phi[lo:-1] + (lam / 2.0) * diff + k * s_eff
-                # node j = a + b * (first unknown), at the new level
-                rhs[0] += (lam / 2.0) * a
-                rhs[-1] += (lam / 2.0) * edges.right[m]
-                if b:  # the folded first row changes with the barrier
-                    lu = _cn_factor(src.size, lam, b)
-                elif src.size in factors:
-                    lu = factors[src.size]
+    field = np.empty((edges.j.size, phi.size))
+    field[:1] = phi  # level 0, unless the data fail at tau0
+    levels = zip(*(v.tolist() for v in (edges.j, edges.a, edges.b, edges.fill, edges.right)))
+    with np.errstate(all="ignore"):
+        for m, (j, a, b, fill, right) in enumerate(levels):
+            lo = j + 1  # first unknown
+            row = field[m]
+            if m:
+                prev = field[m - 1]
+                if j < j_prev:
+                    # nodes uncovered by a receding barrier continue the old
+                    # level's boundary line, through nodes j_prev and j_prev + 1
+                    prev = prev.copy()
+                    step = prev[j_prev] - prev[j_prev + 1]
+                    prev[j:j_prev] = prev[j_prev] + step * np.arange(j_prev - j, 0, -1)
+                src = source(xs[lo:-1], prev[lo:-1])
+                diff = prev[lo - 1 : -2] - 2 * prev[lo:-1] + prev[lo + 1 :]
+                if scheme.scheme == EXPLICIT:
+                    interior = prev[lo:-1] + k * (diff / (h * h) + src)
                 else:
-                    lu = factors[src.size] = _cn_factor(src.size, lam)
-                interior = _cn_solve(lu, rhs)
-            src_prev = src
-            phi = np.empty_like(phi)
-            phi[lo:-1] = interior
-        phi[:j] = edges.fill[m]
-        phi[j] = a + b * phi[lo] if b else a  # b = 0 keeps the datum's bits (-0.0)
-        phi[-1] = edges.right[m]
-        j_prev = j
-        low = min(low, _level_min(phi, taus[m]))
-        snaps.append(FieldSnapshot(taus[m], phi, lo))
+                    # Adams-Bashforth 2 source once the unknowns match the previous
+                    # level's (Euler before) keeps the split second-order in time.
+                    ab2 = src_prev is not None and src_prev.size == src.size
+                    s_eff = 1.5 * src - 0.5 * src_prev if ab2 else src
+                    rhs = prev[lo:-1] + (lam / 2.0) * diff + k * s_eff
+                    # node j = a + b * (first unknown), at the new level
+                    rhs[0] += (lam / 2.0) * a
+                    rhs[-1] += (lam / 2.0) * right
+                    if b:  # the folded first row changes with the barrier
+                        lu = _cn_factor(src.size, lam, b)
+                    elif src.size in factors:
+                        lu = factors[src.size]
+                    else:
+                        lu = factors[src.size] = _cn_factor(src.size, lam)
+                    interior = _cn_solve(lu, rhs)
+                src_prev = src
+                row[lo:-1] = interior
+            row[:j] = fill
+            row[j] = a + b * row[lo] if b else a  # b = 0 keeps the datum's bits (-0.0)
+            row[-1] = right
+            j_prev = j
+            # NaN fails the test; an undefined source leaves NaN or inf in the level
+            if not (-_BLOWUP <= row.min() and row.max() <= _BLOWUP):
+                if m and not np.isfinite(src).all():
+                    # raises, naming the failing subexpression
+                    ex.evaluate_many([model.fhat], {"x": xs[lo:-1], "u": prev[lo:-1]})
+                raise _instability(row, taus[m])
     if edges.fail is not None:
         edges.fail()
+    field.setflags(write=False)
+    low = float(field.min())
     if low <= 0.0:
         warnings.warn(
             f"field reached min phi = {low:.6g} <= 0; the inverse map needs ln(phi)",
             PositivityWarning,
             stacklevel=3,  # past the solve front, to its caller
         )
-    return Snapshots(snaps, low)
+    los = (edges.j + 1).tolist()
+    return Snapshots([FieldSnapshot._row(*level) for level in zip(taus, field, los)], low)
 
 
 def solve(
@@ -519,30 +550,37 @@ def convergence_study(
 
     Levels run one after another.  A non-monotone error sequence is
     reported in the result, never hidden; so is each level's ``min_phi``
-    (phi <= 0 breaks the inverse map) and ``lam`` = k/h^2."""
+    (phi <= 0 breaks the inverse map) and ``lam`` = k/h^2.  A level whose
+    error is exactly 0 has no log error: the order and the pairwise orders
+    next to it are None, and ``order_reason`` names the level."""
     if len(refinements) < 3:
         raise ValueError("need >=3 levels")
     runs = [case.run(nx) for nx in refinements]
     errors = [r["error"] for r in runs]
     hs = [(case.grid.x_hi - case.grid.x_lo) / (nx + 1) for nx in refinements]
     logs_h = np.log(np.array(hs))
-    logs_e = np.log(np.array(errors))
-    slope = float(np.polyfit(logs_h, logs_e, 1)[0])
+    exact = [int(nx) for nx, e in zip(refinements, errors) if e == 0.0]
+    with np.errstate(divide="ignore"):  # log(0) = -inf at an exact level
+        logs_e = np.log(np.array(errors))
     pairwise = [
         float((logs_e[i + 1] - logs_e[i]) / (logs_h[i + 1] - logs_h[i]))
+        if errors[i] and errors[i + 1] else None
         for i in range(len(hs) - 1)
     ]
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    return {
+    report = {
         "nx": [int(n) for n in refinements],
         "h": [float(v) for v in hs],
         "errors": [float(e) for e in errors],
-        "order": slope,
+        "order": None if exact else float(np.polyfit(logs_h, logs_e, 1)[0]),
         "pairwise_orders": pairwise,
         "monotone": monotone,
         "min_phi": [float(r["min_phi"]) for r in runs],
         "lam": [float(r["lam"]) for r in runs],
     }
+    if exact:
+        report["order_reason"] = f"error is exactly 0 at nx = {exact}: log(0) is undefined"
+    return report
 
 
 def map_to_heath(

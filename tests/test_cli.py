@@ -232,6 +232,46 @@ def test_converge_reports_min_phi_and_lambda(capsys):
     assert data["lam"] == pytest.approx([0.7225, 1.445, 2.89], rel=1e-12)
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_converge_exact_levels_print_strict_json(capsys):
+    # every level's error is exactly 0: no log error, so no order
+    model = json.dumps({"fhat": "0*phi", "exact": "0*x"})
+    code, out, err = run(
+        capsys, "converge", "--model", model,
+        "--grid", json.dumps({"x_lo": 0, "x_hi": 1, "nx": 16,
+                              "tau0": 0, "tau1": 0.1, "ntau": 40}),
+        "--params", '{"levels":[16,32,64]}',
+    )
+    assert code == 0 and err == ""
+    data = _strict_json(out)
+    assert data["errors"] == [0.0, 0.0, 0.0]
+    assert data["order"] is None
+    assert data["pairwise_orders"] == [None, None]
+    assert "nx = [16, 32, 64]" in data["order_reason"]
+
+
+def test_solve_summary_reports_lambda_and_barrier_node(capsys):
+    code, out, _ = run(capsys, "solve", "--model", SIN_MODEL, "--grid", SIN_GRID)
+    data = _strict_json(out)
+    assert code == 0 and "barrier_node" not in data
+    assert data["lam"] == pytest.approx(0.002 * 33 * 33, rel=1e-12)
+    barrier = {"a": 1, "b": 1, "alpha": 0.05, "beta": 0.9, "K": 1, "T": 1, "A": 1}
+    model = json.dumps({"fhat": "0*phi", "exact": "1 + 0*x", "barrier": barrier})
+    grid = json.dumps({"x_lo": 0.3, "x_hi": 2.5, "nx": 64, "tau0": -0.5, "tau1": 0,
+                       "ntau": 120})
+    code, out, _ = run(capsys, "solve", "--model", model, "--grid", grid)
+    data = _strict_json(out)
+    assert code == 0
+    # the tied node recedes from 18 to 17 over the march (see test_solver)
+    assert data["barrier_node"] == [17, 18]
+    assert data["lam"] == pytest.approx((0.5 / 120) / (2.2 / 65) ** 2, rel=1e-12)
+
+
 def test_converge_parse_error_exit_2(capsys):
     model = json.dumps({"fhat": "0*phi", "exact": "sin(x"})
     code, out, err = run(capsys, "converge", "--model", model, "--grid", SIN_GRID,

@@ -156,6 +156,16 @@ def test_compile_domain_error():
     assert ei.value.subexpr == "ln(x)"
 
 
+def test_kernel_fills_a_constant_to_the_arguments_shape():
+    # "0*phi" folds to 0; the march needs an array of u's shape, not a float
+    xs, us = np.linspace(0.0, 1.0, 5), np.ones(5)
+    for text in ("0*u", "2 + 3", "sin(1)"):
+        e = ex.parse(text)
+        got = ex.compile_kernel(e, ["x", "u"])(xs, us)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        assert np.all(got == ex.evaluate(e, {}))
+
+
 def test_arithmetic_operators_on_expr():
     x = ex.sym("x")
     e = (x + 1) * (x - 1) - (x * x - 1)
@@ -281,6 +291,12 @@ def test_evaluator_batch_mask_and_values(e, pts):
     fn = ex.compile_exprs([e], ["x", "y"])
     (vals,), mask = fn(xs, ys)
     assert vals.shape == mask.shape == xs.shape
+    # the kernel: the same values, non-finite exactly where the mask is set
+    with np.errstate(all="ignore"):
+        kernel = ex.compile_kernel(e, ["x", "y"])(xs, ys)
+    assert kernel.shape == xs.shape
+    assert (~np.isfinite(kernel)).tolist() == mask.tolist()
+    assert kernel[~mask].tobytes() == vals[~mask].tobytes()
     # several expressions: the mask is the union, the values are unchanged
     other = ex.call("ln", ex.sym("y"))
     (v1, v2), both = ex.compile_exprs([other, e], ["x", "y"])(xs, ys)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,3 +298,131 @@ def test_boundary_error_at_its_level():
     assert info.value.subexpr == "ln(3/20 - t)"
     with pytest.raises(sv.InstabilityError):  # blows up before tau = 3
         sv.solve(growth, lambda x: 1.0, g, sv.SchemeConfig(), boundary="1 + ln(3 - tau)")
+
+
+def _reference_march(model, grid, scheme, phi, edges):
+    """The per-level loop the march replaced: a fresh array per level, the
+    source through ex.evaluate_many, a new CN factorisation per step."""
+    xs, h, k = grid.nodes(), grid.h, grid.k
+    lam = k / (h * h)
+    src_prev, rows = None, []
+    for m, j in enumerate(edges.j.tolist()):
+        a, b = edges.a[m], edges.b[m]
+        lo = j + 1
+        if m:
+            if j < j_prev:
+                phi = phi.copy()
+                step = phi[j_prev] - phi[j_prev + 1]
+                phi[j:j_prev] = phi[j_prev] + step * np.arange(j_prev - j, 0, -1)
+            (src,) = ex.evaluate_many([model.fhat], {"x": xs[lo:-1], "u": phi[lo:-1]})
+            diff = phi[lo - 1 : -2] - 2 * phi[lo:-1] + phi[lo + 1 :]
+            if scheme.scheme == sv.EXPLICIT:
+                interior = phi[lo:-1] + k * (diff / (h * h) + src)
+            else:
+                ab2 = src_prev is not None and src_prev.size == src.size
+                s_eff = 1.5 * src - 0.5 * src_prev if ab2 else src
+                rhs = phi[lo:-1] + (lam / 2.0) * diff + k * s_eff
+                rhs[0] += (lam / 2.0) * a
+                rhs[-1] += (lam / 2.0) * edges.right[m]
+                interior = sv._cn_solve(sv._cn_factor(src.size, lam, b), rhs)
+            src_prev = src
+            phi = np.empty_like(phi)
+            phi[lo:-1] = interior
+        phi[:j] = edges.fill[m]
+        phi[j] = a + b * phi[lo] if b else a
+        phi[-1] = edges.right[m]
+        j_prev = j
+        rows.append(phi)
+    return rows
+
+
+def _marched(monkeypatch, run):
+    """The snapshots of ``run()`` and the arguments its march was given."""
+    calls = []
+    march = sv._march
+
+    def spy(model, grid, scheme, phi, edges):
+        calls.append((model, grid, scheme, phi.copy(), edges))
+        return march(model, grid, scheme, phi, edges)
+
+    monkeypatch.setattr(sv, "_march", spy)
+    snaps = run()
+    (args,) = calls
+    return snaps, args
+
+
+def _strip(fhat, scheme, static=False):
+    """A fixed-strip march towards criterion 7's barrier field, under the
+    source ``fhat`` when given (the field's own source otherwise)."""
+    bs, ref = _barrier_case()
+    model = HeatSourceModel(fhat) if fhat else bs.heat.model
+    ntau = 600 if scheme.scheme == sv.EXPLICIT else 90  # explicit: k <= h^2/2
+    grid = sv.GridSpec(0.3, 2.5, 48, -0.5, 0.0, ntau)
+    init = ex.substitute(ref, "t", ex.num(grid.tau0))
+    if static:
+        scheme = replace(scheme, boundary=sv.BOUNDARY_STATIC)
+    return lambda: sv.solve(model, init, grid, scheme, boundary=None if static else ref)
+
+
+def _moving(alpha, beta, A):
+    bs = so.barrier_solution(1.0, 1.0, alpha, beta, 1.0, 1.0, A)
+    ref = ex.rename(bs.heat.u, {"tau": "t"})
+    grid = sv.GridSpec(0.3, 2.5, 64, -0.5, 0.0, 120)
+    return lambda: sv.solve_barrier(bs.heat.model, bs.spec, grid, sv.SchemeConfig(), ref)
+
+
+LEAN_MARCH_CASES = {
+    "cn-exact": _strip(None, sv.SchemeConfig()),
+    "cn-static": _strip(None, sv.SchemeConfig(), static=True),
+    "explicit": _strip(None, sv.SchemeConfig(scheme=sv.EXPLICIT)),
+    # the two MOVING_BARRIERS inputs of the benchmark; both recede at nx = 64
+    "barrier-criterion-7": _moving(0.05, 0.9, 1.0),
+    "barrier-second": _moving(0.0635, 0.919, 0.886),
+    "constant-source": _strip("0*phi", sv.SchemeConfig()),
+    "constant-source-explicit": _strip("0*phi", sv.SchemeConfig(scheme=sv.EXPLICIT)),
+    "x-only-source": _strip("sin(x)", sv.SchemeConfig()),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAN_MARCH_CASES))
+def test_march_matches_the_reference_march(monkeypatch, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sv.PositivityWarning)
+        snaps, (model, grid, scheme, phi, edges) = _marched(monkeypatch, LEAN_MARCH_CASES[name])
+    if name.startswith("barrier"):
+        assert (np.diff(edges.j) < 0).any()  # a level where the barrier recedes
+    want = _reference_march(model, grid, scheme, phi, edges)
+    assert len(snaps) == len(want) == grid.ntau + 1
+    for m, (snap, row) in enumerate(zip(snaps, want)):
+        assert np.array_equal(snap.phi, row), m  # bit for bit
+        assert snap.phi.tobytes() == row.tobytes(), m  # -0.0 included
+        assert snap.lo == edges.j[m] + 1 and snap.tau == grid.taus()[m]
+    assert snaps.min_phi == min(row.min() for row in want)
+
+
+def test_march_snapshots_are_frozen_rows():
+    snaps = LEAN_MARCH_CASES["barrier-second"]()
+    with pytest.raises(ValueError):
+        snaps[3].phi[0] = 9.0
+    assert snaps.min_phi == min(float(s.phi.min()) for s in snaps)
+    # relaxing towards 1 from below: the least phi is on the first level
+    rising = sv.solve(HeatSourceModel("5*(1 - u)"), "1 - 0.5*sin(3.14159*x)",
+                      sv.GridSpec(0.0, 1.0, 16, 0.0, 0.2, 20),
+                      sv.SchemeConfig(boundary=sv.BOUNDARY_STATIC))
+    assert rising.min_phi == float(rising[0].phi.min()) < float(rising[-1].phi.min())
+    # a receding barrier uncovers nodes that hold the datum; the march
+    # extends the boundary line over them on a copy, so each snapshot still
+    # holds its own level's datum left of its tied node
+    receded = [m for m in range(1, len(snaps)) if snaps[m].lo < snaps[m - 1].lo]
+    assert receded
+    for m in receded:
+        before = snaps[m - 1]
+        behind = before.phi[: before.lo - 1]
+        assert behind.size and np.all(behind == behind[0])
+
+
+def test_public_snapshot_still_copies():
+    phi = np.array([1.0, 2.0, 3.0])
+    snap = sv.FieldSnapshot(0.0, phi)
+    phi[0] = 7.0
+    assert snap.phi[0] == 1.0
